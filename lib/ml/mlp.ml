@@ -5,17 +5,6 @@ type activation = Sigmoid | Relu
 type layer = { weights : Linalg.mat; activation : activation }
 type t = { layers : layer array }
 
-let apply_activation act v =
-  match act with
-  | Sigmoid -> Array.map (fun z -> 1.0 /. (1.0 +. exp (-.z))) v
-  | Relu -> Array.map (fun z -> Float.max 0.0 z) v
-
-(* Derivative in terms of the activation output a. *)
-let activation_deriv act a =
-  match act with
-  | Sigmoid -> a *. (1.0 -. a)
-  | Relu -> if a > 0.0 then 1.0 else 0.0
-
 let create rng ~sizes ~hidden_activation =
   let rec pairs = function
     | a :: (b :: _ as rest) -> (a, b) :: pairs rest
@@ -40,171 +29,237 @@ let create rng ~sizes ~hidden_activation =
   { layers = Array.of_list layers }
 
 let n_layers t = Array.length t.layers
+let fan_in t i = Linalg.mat_cols t.layers.(i).weights
+let fan_out t i = Linalg.mat_rows t.layers.(i).weights
 
 let layer_sizes t =
-  let fan_in = Linalg.mat_cols t.layers.(0).weights in
-  fan_in :: (Array.to_list t.layers |> List.map (fun l -> Linalg.mat_rows l.weights))
+  fan_in t 0 :: List.init (n_layers t) (fan_out t)
+
+(* Per-call scratch, reused for every sample of one call: [outs.(i)] is
+   layer i's output, [deltas.(i)] the loss gradient wrt layer i's
+   pre-activation, [grads.(i)] the gradient wrt layer i's input. The
+   scratch is owned by one call, never by the network, so concurrent
+   calls on one network from several domains stay safe. *)
+type scratch = {
+  outs : float array array;
+  deltas : float array array;
+  grads : float array array;
+}
+
+let scratch t =
+  let n = n_layers t in
+  for i = 0 to n - 1 do
+    let cols = fan_in t i in
+    if
+      (i > 0 && cols <> fan_out t (i - 1))
+      || Array.exists (fun row -> Array.length row <> cols) t.layers.(i).weights
+    then invalid_arg "Mlp: layer weight shapes do not chain"
+  done;
+  {
+    outs = Array.init n (fun i -> Array.make (fan_out t i) 0.0);
+    deltas = Array.init n (fun i -> Array.make (fan_out t i) 0.0);
+    grads = Array.init n (fun i -> Array.make (fan_in t i) 0.0);
+  }
+
+let input s x i = if i = 0 then x else s.outs.(i - 1)
+
+(* The forward kernel: layer by layer, each row dotted with the layer
+   input in ascending k, then the activation. The top layer keeps its
+   logits unless [top_activation]. *)
+let forward_into t s x ~top_activation =
+  if Array.length x <> fan_in t 0 then
+    invalid_arg "Mlp: feature vector length does not match the fan-in";
+  let n = n_layers t in
+  for i = 0 to n - 1 do
+    let layer = t.layers.(i) in
+    let w = layer.weights and a = input s x i and out = s.outs.(i) in
+    let activate = i < n - 1 || top_activation in
+    for r = 0 to Array.length w - 1 do
+      let row = w.(r) in
+      let acc = ref 0.0 in
+      for k = 0 to Array.length a - 1 do
+        acc := !acc +. (row.(k) *. a.(k))
+      done;
+      let z = !acc in
+      out.(r) <-
+        (if not activate then z
+         else
+           match layer.activation with
+           | Sigmoid -> 1.0 /. (1.0 +. exp (-.z))
+           | Relu -> Float.max 0.0 z)
+    done
+  done
+
+(* Cross-entropy seed on the logits: softmax (max, then exp, then sum,
+   all k ascending) minus the one-hot label. *)
+let softmax_seed s ~label =
+  let n = Array.length s.outs in
+  let z = s.outs.(n - 1) and d = s.deltas.(n - 1) in
+  let m = ref neg_infinity in
+  for k = 0 to Array.length z - 1 do
+    m := Float.max !m z.(k)
+  done;
+  for k = 0 to Array.length z - 1 do
+    d.(k) <- exp (z.(k) -. !m)
+  done;
+  let sum = ref 0.0 in
+  for k = 0 to Array.length d - 1 do
+    sum := !sum +. d.(k)
+  done;
+  for k = 0 to Array.length d - 1 do
+    d.(k) <- (d.(k) /. !sum) -. if k = label then 1.0 else 0.0
+  done
+
+type step = Gradients | Sgd of float
+
+(* The backward kernel, from the seed in [deltas.(n-1)] down to layer 0.
+   Layer i's input gradient accumulates over r ascending with layer i's
+   weights before any update; [Sgd lr] then updates each weight in place
+   right after its last read. [Sgd] skips layer 0's input gradient,
+   which nothing reads; [Gradients] fills every [grads.(i)] and leaves
+   the weights alone. *)
+let backward t s x step =
+  for i = n_layers t - 1 downto 0 do
+    let w = t.layers.(i).weights in
+    let a = input s x i and d = s.deltas.(i) and g = s.grads.(i) in
+    (match step with
+    | Sgd lr when i = 0 ->
+        for r = 0 to Array.length w - 1 do
+          let row = w.(r) and dr = d.(r) in
+          for c = 0 to Array.length a - 1 do
+            row.(c) <- row.(c) -. (lr *. (dr *. a.(c)))
+          done
+        done
+    | Sgd lr ->
+        Array.fill g 0 (Array.length g) 0.0;
+        for r = 0 to Array.length w - 1 do
+          let row = w.(r) and dr = d.(r) in
+          for c = 0 to Array.length a - 1 do
+            g.(c) <- g.(c) +. (dr *. row.(c));
+            row.(c) <- row.(c) -. (lr *. (dr *. a.(c)))
+          done
+        done
+    | Gradients ->
+        Array.fill g 0 (Array.length g) 0.0;
+        for r = 0 to Array.length w - 1 do
+          let row = w.(r) and dr = d.(r) in
+          for c = 0 to Array.length a - 1 do
+            g.(c) <- g.(c) +. (dr *. row.(c))
+          done
+        done);
+    if i > 0 then begin
+      let below = s.deltas.(i - 1) in
+      match t.layers.(i - 1).activation with
+      | Sigmoid ->
+          for j = 0 to Array.length a - 1 do
+            below.(j) <- g.(j) *. (a.(j) *. (1.0 -. a.(j)))
+          done
+      | Relu ->
+          for j = 0 to Array.length a - 1 do
+            below.(j) <- g.(j) *. if a.(j) > 0.0 then 1.0 else 0.0
+          done
+    end
+  done
 
 let forward t x =
-  let acts = Array.make (n_layers t + 1) x in
-  Array.iteri
-    (fun i layer ->
-      let z = Linalg.mat_vec layer.weights acts.(i) in
-      acts.(i + 1) <- apply_activation layer.activation z)
-    t.layers;
-  acts
+  let s = scratch t in
+  forward_into t s x ~top_activation:true;
+  Array.append [| x |] s.outs
 
 let logits t x =
-  let n = n_layers t in
-  let a = ref x in
-  Array.iteri
-    (fun i layer ->
-      let z = Linalg.mat_vec layer.weights !a in
-      a := if i = n - 1 then z else apply_activation layer.activation z)
-    t.layers;
-  !a
+  let s = scratch t in
+  forward_into t s x ~top_activation:false;
+  s.outs.(n_layers t - 1)
 
 let predict t x = Linalg.argmax (logits t x)
 
-let softmax z =
-  let m = Array.fold_left Float.max neg_infinity z in
-  let e = Array.map (fun v -> exp (v -. m)) z in
-  let s = Array.fold_left ( +. ) 0.0 e in
-  Array.map (fun v -> v /. s) e
-
-(* Backprop one sample; returns per-layer weight gradients and, when
-   [want_input_grads], the gradient wrt every activation (input included)
-   for the Sakr estimator. The output-layer seed is [seed] applied to the
-   logits (cross-entropy: p - onehot; margin: e_i1 - e_i2). *)
-let backprop t acts seed =
-  let n = n_layers t in
-  let weight_grads = Array.make n [||] in
-  let act_grads = Array.make (n + 1) [||] in
-  let delta = ref seed in
-  for i = n - 1 downto 0 do
-    let layer = t.layers.(i) in
-    let input = acts.(i) in
-    (* dW = delta ⊗ input *)
-    weight_grads.(i) <-
-      Array.map (fun d -> Linalg.scale d input) !delta;
-    (* gradient wrt the layer input (an activation of layer i) *)
-    let gin =
-      Array.init (Array.length input) (fun j ->
-          let acc = ref 0.0 in
-          Array.iteri
-            (fun r d -> acc := !acc +. (d *. layer.weights.(r).(j)))
-            !delta;
-          !acc)
-    in
-    act_grads.(i) <- gin;
-    if i > 0 then
-      delta :=
-        Array.mapi
-          (fun j g ->
-            g *. activation_deriv t.layers.(i - 1).activation input.(j))
-          gin
-  done;
-  (weight_grads, act_grads)
+let validate t data =
+  let features = fan_in t 0 and classes = fan_out t (n_layers t - 1) in
+  Array.iteri
+    (fun i { Dataset.features = x; label } ->
+      if Array.length x <> features || label < 0 || label >= classes then
+        invalid_arg
+          (Printf.sprintf
+             "Mlp.train: sample %d has %d features and label %d; the \
+              network takes %d features and labels 0..%d"
+             i (Array.length x) label features (classes - 1)))
+    data
 
 let train t rng ~data ~epochs ~lr =
-  let n = n_layers t in
+  validate t data;
+  let s = scratch t and step = Sgd lr in
   let order = Array.init (Array.length data) (fun i -> i) in
   for _epoch = 1 to epochs do
     Rng.shuffle rng order;
-    Array.iter
-      (fun idx ->
-        let sample = data.(idx) in
-        (* forward keeping logits for the last layer *)
-        let acts = Array.make (n + 1) sample.Dataset.features in
-        for i = 0 to n - 1 do
-          let z = Linalg.mat_vec t.layers.(i).weights acts.(i) in
-          acts.(i + 1) <-
-            (if i = n - 1 then z
-             else apply_activation t.layers.(i).activation z)
-        done;
-        let p = softmax acts.(n) in
-        let seed =
-          Array.mapi
-            (fun k pk -> pk -. if k = sample.Dataset.label then 1.0 else 0.0)
-            p
-        in
-        let weight_grads, _ = backprop t acts seed in
-        Array.iteri
-          (fun i grads ->
-            let w = t.layers.(i).weights in
-            Array.iteri
-              (fun r grow ->
-                let wr = w.(r) in
-                Array.iteri
-                  (fun c g -> wr.(c) <- wr.(c) -. (lr *. g))
-                  grow)
-              grads)
-          weight_grads)
-      order
+    for o = 0 to Array.length order - 1 do
+      let sample = data.(order.(o)) in
+      let x = sample.Dataset.features in
+      forward_into t s x ~top_activation:false;
+      softmax_seed s ~label:sample.Dataset.label;
+      backward t s x step
+    done
   done
 
 let accuracy t data =
-  let correct =
-    Array.fold_left
-      (fun acc s ->
-        if predict t s.Dataset.features = s.Dataset.label then acc + 1 else acc)
-      0 data
-  in
-  float_of_int correct /. float_of_int (Array.length data)
+  let s = scratch t in
+  let top = s.outs.(n_layers t - 1) in
+  let correct = ref 0 in
+  Array.iter
+    (fun sample ->
+      forward_into t s sample.Dataset.features ~top_activation:false;
+      if Linalg.argmax top = sample.Dataset.label then incr correct)
+    data;
+  float_of_int !correct /. float_of_int (Array.length data)
 
 let sakr_stats t data =
   let n = n_layers t in
+  let s = scratch t in
+  let z = s.outs.(n - 1) and seed = s.deltas.(n - 1) in
   let sum_ea = ref 0.0 and sum_ew = ref 0.0 and count = ref 0 in
-  Array.iter
-    (fun sample ->
-      (* forward with logits at the top *)
-      let acts = Array.make (n + 1) sample.Dataset.features in
-      for i = 0 to n - 1 do
-        let z = Linalg.mat_vec t.layers.(i).weights acts.(i) in
-        acts.(i + 1) <-
-          (if i = n - 1 then z else apply_activation t.layers.(i).activation z)
-      done;
-      let z = acts.(n) in
+  (* A one-output network has no runner-up, hence no margin. *)
+  if Array.length z >= 2 then
+    for si = 0 to Array.length data - 1 do
+      let x = data.(si).Dataset.features in
+      forward_into t s x ~top_activation:false;
       let i1 = Linalg.argmax z in
-      (* runner-up *)
-      let i2 =
-        let best = ref (if i1 = 0 then 1 else 0) in
-        Array.iteri
-          (fun k v -> if k <> i1 && v > z.(!best) then best := k)
-          z;
-        !best
-      in
-      let margin = z.(i1) -. z.(i2) in
+      let i2 = ref (if i1 = 0 then 1 else 0) in
+      for k = 0 to Array.length z - 1 do
+        if k <> i1 && z.(k) > z.(!i2) then i2 := k
+      done;
+      let margin = z.(i1) -. z.(!i2) in
       if margin > 1e-9 then begin
-        let seed =
-          Array.init (Array.length z) (fun k ->
-              if k = i1 then 1.0 else if k = i2 then -1.0 else 0.0)
-        in
-        let weight_grads, act_grads = backprop t acts seed in
-        let sq acc v = acc +. (v *. v) in
-        let gw =
-          Array.fold_left
-            (fun acc grads ->
-              Array.fold_left
-                (fun acc row -> Array.fold_left sq acc row)
-                acc grads)
-            0.0 weight_grads
-        in
-        let ga =
-          Array.fold_left
-            (fun acc grads -> Array.fold_left sq acc grads)
-            0.0 act_grads
-        in
+        for k = 0 to Array.length seed - 1 do
+          seed.(k) <-
+            (if k = i1 then 1.0 else if k = !i2 then -1.0 else 0.0)
+        done;
+        backward t s x Gradients;
+        (* Squared gradients summed layer 0 first, rows then columns. *)
+        let gw = ref 0.0 and ga = ref 0.0 in
+        for i = 0 to n - 1 do
+          let a = input s x i and d = s.deltas.(i) in
+          for r = 0 to Array.length d - 1 do
+            let dr = d.(r) in
+            for c = 0 to Array.length a - 1 do
+              let v = dr *. a.(c) in
+              gw := !gw +. (v *. v)
+            done
+          done
+        done;
+        for i = 0 to n - 1 do
+          let g = s.grads.(i) in
+          for j = 0 to Array.length g - 1 do
+            ga := !ga +. (g.(j) *. g.(j))
+          done
+        done;
         let denom = 12.0 *. margin *. margin in
-        sum_ea := !sum_ea +. (ga /. denom);
-        sum_ew := !sum_ew +. (gw /. denom);
+        sum_ea := !sum_ea +. (!ga /. denom);
+        sum_ew := !sum_ew +. (!gw /. denom);
         incr count
-      end)
-    data;
+      end
+    done;
   if !count = 0 then (0.0, 0.0)
   else
     let c = float_of_int !count in
     (!sum_ea /. c, !sum_ew /. c)
 
-let per_layer_fanin t =
-  Array.to_list t.layers |> List.map (fun l -> Linalg.mat_cols l.weights)
+let per_layer_fanin t = List.init (n_layers t) (fan_in t)

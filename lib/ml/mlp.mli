@@ -35,7 +35,11 @@ val logits : t -> Linalg.vec -> Linalg.vec
 val predict : t -> Linalg.vec -> int
 
 (** [train t rng ~data ~epochs ~lr] — in-place SGD with softmax
-    cross-entropy on the logits; data order shuffled each epoch. *)
+    cross-entropy on the logits; data order shuffled each epoch. Every
+    sample is checked first: a feature vector whose length is not the
+    fan-in, or a label outside [0, outputs), raises [Invalid_argument]
+    before any weight changes. Allocation-free per sample; the trained
+    weights are fixed by the operation order in ARCHITECTURE §16. *)
 val train :
   t ->
   Promise_analog.Rng.t ->
@@ -50,7 +54,8 @@ val accuracy : t -> Dataset.labeled array -> float
     over [data] (paper Eq. (4); see DESIGN.md):
     p_m ≤ Δ_A²·E_A + Δ_W²·E_W, where the expectations are of the
     squared gradient of the top-2 logit margin wrt activations (E_A)
-    and weights (E_W), normalized by 12·margin². *)
+    and weights (E_W), normalized by 12·margin². A one-output network
+    has no runner-up and so no margin: it returns [(0.0, 0.0)]. *)
 val sakr_stats : t -> Dataset.labeled array -> float * float
 
 (** [per_layer_fanin t] — vector length N of each layer's AbstractTask. *)
