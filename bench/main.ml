@@ -556,18 +556,7 @@ let run_report cli =
   let names =
     match cli.names with
     | [] -> if cli.quick then P.Report.quick_names () else P.Report.all_names ()
-    | names ->
-        List.filter
-          (fun name ->
-            let known =
-              List.exists (fun (n, _, _) -> n = name) P.Report.sections
-            in
-            if not known then
-              Format.fprintf ppf "unknown section %S; available: %s@." name
-                (String.concat ", "
-                   (List.map (fun (n, _, _) -> n) P.Report.sections));
-            known)
-          names
+    | names -> names
   in
   let incidents =
     match cli.incidents with
@@ -587,25 +576,22 @@ let run_report cli =
       in
       let outcome =
         P.Pool.with_pool ~jobs (fun pool ->
-            P.Report.run_sections_supervised ~pool session ppf names)
+            P.Report.run_sections (P.Runner.Local { pool; session }) ppf names)
       in
       Format.pp_print_flush ppf ();
       P.Incident.close incidents;
       (match outcome with
-      | P.Report.Sections_interrupted { completed; total } ->
+      | P.Runner.Interrupted { completed; total } ->
           Format.eprintf
             "interrupted at %d/%d sections; resume with: bench --checkpoint \
              %s --resume@."
             completed total
             (Option.value cli.checkpoint ~default:"FILE");
-          exit
-            (match P.Supervisor.stop_signal stop with
-            | Some s when s = Sys.sigterm -> 143
-            | _ -> 130)
-      | P.Report.Sections_rejected e ->
+          exit (P.Supervisor.exit_code stop)
+      | P.Runner.Rejected e ->
           prerr_endline (P.Error.to_string e);
           exit 2
-      | P.Report.Sections_done { quarantined } ->
+      | P.Runner.Done (quarantined, _) ->
           if quarantined > 0 then
             Format.eprintf "%d sections were quarantined@." quarantined);
       run_micro ();

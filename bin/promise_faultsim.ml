@@ -44,12 +44,6 @@ let validated_float_ms ~what =
         | Error e -> Error (`Msg (P.Error.to_string e))),
       (fun ppf v -> Format.fprintf ppf "%g" v) )
 
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
-
 let run quick jobs seed timeout_ms max_retries max_residual checkpoint resume
     incidents_path =
   match P.check_env () with
@@ -79,22 +73,23 @@ let run quick jobs seed timeout_ms max_retries max_residual checkpoint resume
           let ppf = Format.std_formatter in
           let outcome =
             P.Pool.with_pool ~jobs (fun pool ->
-                P.Campaign.report_supervised ~quick ~pool ~on_checkpoint
-                  session ppf)
+                P.Campaign.report ~quick ~on_checkpoint
+                  (P.Runner.Local { pool; session })
+                  ppf)
           in
           Format.pp_print_flush ppf ();
           P.Incident.close incidents;
           (match outcome with
-          | P.Campaign.Interrupted { completed; total } ->
+          | P.Runner.Interrupted { completed; total } ->
               Format.eprintf
                 "interrupted at %d/%d cells; resume with: promise-faultsim%s \
                  --checkpoint %s --resume@."
                 completed total
                 (if quick then " --quick" else "")
                 (Option.value checkpoint ~default:"FILE");
-              Stdlib.exit (exit_code_of_signal stop)
-          | P.Campaign.Rejected e -> `Error (false, P.Error.to_string e)
-          | P.Campaign.Completed results ->
+              Stdlib.exit (P.Supervisor.exit_code stop)
+          | P.Runner.Rejected e -> `Error (false, P.Error.to_string e)
+          | P.Runner.Done (results, _) ->
               let s = P.Campaign.summarize_results results in
               if s.P.Campaign.undetected > 0 then
                 `Error

@@ -53,12 +53,6 @@ let chaos_conv =
           (match c with P.Fleet.Kill_one -> "kill-one" | P.Fleet.No_chaos -> "none")
     )
 
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
-
 (* BENCH_fleet.json: the multi-process sibling of BENCH_parallel.json —
    aggregate wall time plus the per-shard detail the summary carries. *)
 let write_bench path ~workload ~quick (s : P.Fleet.summary) =
@@ -156,76 +150,55 @@ let run workload_args quick shards workers batch seed timeout_ms liveness_ms
                     completed total
                 in
                 let ppf = Format.std_formatter in
+                let backend = P.Runner.Fleet { config = cfg; shards } in
                 let status =
-                  if workload = "campaign" then begin
-                    match
-                      P.Campaign.report_fleet ~quick ~on_shard_done ~batch cfg
-                        ~shards ppf
-                    with
-                    | P.Campaign.Fleet_interrupted _ ->
-                        resume_hint ~workload ~quick ~checkpoint_dir;
-                        `Interrupted
-                    | P.Campaign.Fleet_rejected e ->
-                        `Failed (P.Error.to_string e)
-                    | P.Campaign.Fleet_completed (results, summary) ->
-                        eprint_summary workload summary;
-                        Option.iter
-                          (fun p ->
-                            write_bench p ~workload ~quick summary)
-                          bench_path;
-                        let s = P.Campaign.summarize_results results in
-                        if s.P.Campaign.quarantined > 0 then
-                          `Failed
-                            (Printf.sprintf "%d cells quarantined"
-                               s.P.Campaign.quarantined)
-                        else if s.P.Campaign.undetected > 0 then
-                          `Failed
-                            (Printf.sprintf "campaign missed faults in %d cells"
-                               s.P.Campaign.undetected)
-                        else `Ok
-                  end
-                  else begin
-                    let names =
-                      match section_names with
-                      | [] -> P.Report.quick_names ()
-                      | names -> names
-                    in
-                    let known = P.Report.all_names () in
-                    let unknown =
-                      List.filter (fun n -> not (List.mem n known)) names
-                    in
-                    if unknown <> [] then
-                      `Failed
-                        ("unknown sections: " ^ String.concat ", " unknown)
-                    else begin
-                      match
-                        P.Report.run_sections_fleet ~on_shard_done cfg ~shards
-                          ppf names
-                      with
-                      | P.Report.Sections_fleet_interrupted _ ->
-                          resume_hint ~workload ~quick ~checkpoint_dir;
-                          `Interrupted
-                      | P.Report.Sections_fleet_rejected e ->
-                          `Failed (P.Error.to_string e)
-                      | P.Report.Sections_fleet_done { quarantined; summary }
-                        ->
-                          eprint_summary workload summary;
+                  let outcome =
+                    if workload = "campaign" then
+                      P.Campaign.report ~quick ~on_shard_done ~batch backend ppf
+                      |> P.Runner.map (fun results ->
+                             let s = P.Campaign.summarize_results results in
+                             if s.P.Campaign.quarantined > 0 then
+                               Some
+                                 (Printf.sprintf "%d cells quarantined"
+                                    s.P.Campaign.quarantined)
+                             else if s.P.Campaign.undetected > 0 then
+                               Some
+                                 (Printf.sprintf
+                                    "campaign missed faults in %d cells"
+                                    s.P.Campaign.undetected)
+                             else None)
+                    else
+                      let names =
+                        if section_names = [] then P.Report.quick_names ()
+                        else section_names
+                      in
+                      P.Report.run_sections ~on_shard_done backend ppf names
+                      |> P.Runner.map (fun quarantined ->
+                             if quarantined > 0 then
+                               Some
+                                 (Printf.sprintf "%d sections quarantined"
+                                    quarantined)
+                             else None)
+                  in
+                  match outcome with
+                  | P.Runner.Interrupted _ ->
+                      resume_hint ~workload ~quick ~checkpoint_dir;
+                      `Interrupted
+                  | P.Runner.Rejected e -> `Failed (P.Error.to_string e)
+                  | P.Runner.Done (failed, summary) -> (
+                      Option.iter
+                        (fun s ->
+                          eprint_summary workload s;
                           Option.iter
-                            (fun p ->
-                              write_bench p ~workload ~quick summary)
-                            bench_path;
-                          if quarantined > 0 then
-                            `Failed
-                              (Printf.sprintf "%d sections quarantined"
-                                 quarantined)
-                          else `Ok
-                    end
-                  end
+                            (fun p -> write_bench p ~workload ~quick s)
+                            bench_path)
+                        summary;
+                      match failed with Some msg -> `Failed msg | None -> `Ok)
                 in
                 Format.pp_print_flush ppf ();
                 P.Incident.close incidents;
                 (match status with
-                | `Interrupted -> Stdlib.exit (exit_code_of_signal stop)
+                | `Interrupted -> Stdlib.exit (P.Supervisor.exit_code stop)
                 | `Failed msg -> `Error (false, msg)
                 | `Ok -> `Ok ()))
       end)

@@ -34,12 +34,6 @@ let validated_float_ms ~what =
         | Error e -> Error (`Msg (P.Error.to_string e))),
       (fun ppf v -> Format.fprintf ppf "%g" v) )
 
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
-
 let run quick jobs seed timeout_ms max_retries checkpoint resume
     incidents_path sections =
   match P.check_env () with
@@ -48,25 +42,11 @@ let run quick jobs seed timeout_ms max_retries checkpoint resume
       `Error (false, "--resume needs --checkpoint FILE to resume from")
   | Ok () -> (
       let ppf = Format.std_formatter in
-      (* resolve the section list up front, warning on unknown names
-         exactly like the unsupervised CLI did *)
       let names =
         match (quick, sections) with
         | true, _ -> P.Report.quick_names ()
         | false, [] -> P.Report.all_names ()
-        | false, names ->
-            List.filter
-              (fun name ->
-                let known =
-                  List.exists (fun (n, _, _) -> n = name) P.Report.sections
-                in
-                if not known then
-                  Format.fprintf ppf "unknown section %S; available: %s@."
-                    name
-                    (String.concat ", "
-                       (List.map (fun (n, _, _) -> n) P.Report.sections));
-                known)
-              names
+        | false, names -> names
       in
       let incidents_r =
         match incidents_path with
@@ -89,22 +69,22 @@ let run quick jobs seed timeout_ms max_retries checkpoint resume
           in
           let outcome =
             P.Pool.with_pool ~jobs (fun pool ->
-                P.Report.run_sections_supervised ~pool ~on_checkpoint session
+                P.Report.run_sections ~on_checkpoint
+                  (P.Runner.Local { pool; session })
                   ppf names)
           in
           Format.pp_print_flush ppf ();
           P.Incident.close incidents;
           (match outcome with
-          | P.Report.Sections_interrupted { completed; total } ->
+          | P.Runner.Interrupted { completed; total } ->
               Format.eprintf
                 "interrupted at %d/%d sections; resume with: promise-report \
                  --checkpoint %s --resume@."
                 completed total
                 (Option.value checkpoint ~default:"FILE");
-              Stdlib.exit (exit_code_of_signal stop)
-          | P.Report.Sections_rejected e ->
-              `Error (false, P.Error.to_string e)
-          | P.Report.Sections_done { quarantined } ->
+              Stdlib.exit (P.Supervisor.exit_code stop)
+          | P.Runner.Rejected e -> `Error (false, P.Error.to_string e)
+          | P.Runner.Done (quarantined, _) ->
               if quarantined > 0 then
                 `Error
                   ( false,

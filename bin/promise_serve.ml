@@ -125,12 +125,6 @@ let load_conv =
         | P.Serve.Closed_loop n -> Format.fprintf ppf "closed:%d" n
         | P.Serve.Open_loop r -> Format.fprintf ppf "open:%g" r )
 
-let exit_code_of_signal stop =
-  match P.Supervisor.stop_signal stop with
-  | Some s when s = Sys.sigterm -> 143
-  | Some s when s = Sys.sigint -> 130
-  | _ -> 130
-
 (* ------------------------------------------------------------------ *)
 (* BENCH_serve.json                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -236,7 +230,7 @@ let run_daemon ~listen ~models ~noise ~max_requests ~queue ~batch_max
                 summary.P.Serve.d_completed
                 summary.P.Serve.d_stats.P.Serve.batches;
               if P.Supervisor.stop_requested stop then
-                Stdlib.exit (exit_code_of_signal stop);
+                Stdlib.exit (P.Supervisor.exit_code stop);
               `Ok ()))
 
 let run_probe ~path ~model ~requests ~connect_timeout_ms =

@@ -1,5 +1,5 @@
 let magic = "PROMISE-CKPT"
-let format_version = 1
+let format_version = 2
 
 (* Bumped together with the library; folded into every digest so a
    checkpoint never survives a version boundary. *)
@@ -33,16 +33,27 @@ let fsync_dir path =
       (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
 
+(* Header after the magic: format version, digest length, digest,
+   payload length (8 bytes, big-endian), payload MD5 (16 raw bytes);
+   then the marshalled payload. The length and MD5 let [load] check
+   the payload before [Marshal] ever sees it: Marshal trusts its input,
+   and a flipped bit can otherwise unmarshal as a different value or
+   claim an absurd allocation. *)
 let save ~path ~config_digest payload =
   let tmp = tmp_path path in
   try
     let oc = open_out_bin tmp in
     (try
+       let data = Marshal.to_string payload [] in
+       let len = Bytes.create 8 in
+       Bytes.set_int64_be len 0 (Int64.of_int (String.length data));
        output_string oc magic;
        output_binary_int oc format_version;
        output_binary_int oc (String.length config_digest);
        output_string oc config_digest;
-       Marshal.to_channel oc payload [];
+       output_bytes oc len;
+       output_string oc (Digest.string data);
+       output_string oc data;
        flush oc;
        (* The failpoint models the disk dying at the worst moment: data
           staged in the temp file but never durable. Raising here drops
@@ -76,6 +87,9 @@ let load ~path ~config_digest =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
+          let corrupt () =
+            fail ~code:Error.Invalid_operand ~path "truncated or corrupt checkpoint"
+          in
           let m = really_input_string ic (String.length magic) in
           if m <> magic then
             fail ~code:Error.Invalid_operand ~path "not a checkpoint file"
@@ -103,7 +117,18 @@ let load ~path ~config_digest =
                          ]
                        "checkpoint was written by a different run \
                         configuration; refusing to resume")
-                else Ok (Marshal.from_channel ic))
+                else
+                  let len =
+                    String.get_int64_be (really_input_string ic 8) 0
+                  in
+                  let md5 = really_input_string ic 16 in
+                  let left = Int64.of_int (in_channel_length ic - pos_in ic) in
+                  if Int64.compare len 0L < 0 || Int64.compare len left > 0 then
+                    corrupt ()
+                  else
+                    let data = really_input_string ic (Int64.to_int len) in
+                    if Digest.string data <> md5 then corrupt ()
+                    else Ok (Marshal.from_string data 0))
     with
     | Sys_error msg ->
         fail ~code:Error.Invalid_operand ~path ("cannot read checkpoint: " ^ msg)

@@ -1,8 +1,8 @@
 (** Atomic checkpoint files for resumable long-running runs.
 
     A checkpoint is a single file holding a header (magic, format
-    version, a digest of the run configuration) followed by a
-    marshalled payload. Writes are crash-safe: the bytes go to a
+    version, a digest of the run configuration, the payload's length
+    and MD5) followed by a marshalled payload. Writes are crash-safe: the bytes go to a
     pid-tagged temporary in the same directory, are fsync'd, and the
     temporary is renamed over the destination — a reader never sees a
     half-written checkpoint, and a SIGKILL mid-write leaves the
@@ -14,6 +14,11 @@
     resume progress recorded under different scenarios, benchmarks,
     sections or code version. Rejecting loudly beats silently mixing
     two runs' results.
+
+    The payload length and MD5 are the integrity guard: {!load} reads
+    exactly the recorded number of bytes and unmarshals them only when
+    their MD5 matches, so a torn or bit-flipped file is a typed error,
+    never a different value.
 
     The payload goes through [Marshal], so {!load} is only type-safe
     when the saving and loading code agree on the payload type — pair
@@ -34,8 +39,10 @@ val save :
 
 val load : path:string -> config_digest:string -> ('a, Error.t) result
 (** Read a checkpoint back. Errors: [Invalid_operand] when the file is
-    missing, unreadable, or not a checkpoint; [Stale_checkpoint] when
-    the stored digest differs from [config_digest]. *)
+    missing, unreadable, not a checkpoint, truncated, or its payload
+    fails the length/MD5 check; [Stale_checkpoint] when the stored
+    digest differs from [config_digest] or the file has another format
+    version. Never raises. *)
 
 val exists : string -> bool
 

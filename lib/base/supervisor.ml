@@ -179,6 +179,9 @@ let stop_requested s = Atomic.get s.flag
 let stop_signal s =
   match Atomic.get s.signal with 0 -> None | n -> Some n
 
+let exit_code s =
+  match stop_signal s with Some n when n = Sys.sigterm -> 143 | _ -> 130
+
 let signal_name n =
   if n = Sys.sigint then "sigint"
   else if n = Sys.sigterm then "sigterm"

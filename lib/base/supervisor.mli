@@ -81,9 +81,9 @@ val map_result :
 
 type stop
 (** A stop request flag shared between signal handlers and the
-    chunked drivers ({!Campaign}, [Report]): handlers only set an
-    atomic — checkpoint flushing happens at the next chunk boundary
-    in the driver, where it is safe. *)
+    chunked {!Runner}: handlers only set an atomic — checkpoint
+    flushing happens at the runner's next chunk boundary, where it is
+    safe. *)
 
 val never_stop : unit -> stop
 (** A flag nothing sets (the default for library callers). *)
@@ -99,6 +99,11 @@ val stop_requested : stop -> bool
 
 val stop_signal : stop -> int option
 (** The signal number that set the flag, when a handler did. *)
+
+val exit_code : stop -> int
+(** The shell convention for a run the flag stopped: 143 (128 +
+    SIGTERM) for SIGTERM, 130 (128 + SIGINT) for SIGINT or a
+    programmatic request. *)
 
 val signal_name : int -> string
 (** ["sigint"] / ["sigterm"] / ["sighup"] for the OCaml signal

@@ -46,56 +46,29 @@ val residual_budget : float
 val fast_benchmarks : unit -> Benchmarks.t list
 (** Matched filter, template matching L1, k-NN L1. *)
 
-val run_cells :
-  ?pool:Promise_core.Pool.t ->
-  ?batch:int ->
-  scenarios:scenario list ->
-  benchmarks:Benchmarks.t list ->
-  unit ->
-  cell list
-(** Cells are independent and fan out across [pool] (baselines first,
-    then the scenario × benchmark grid); the result list is identical
-    at any job count. [batch] (default 1) scores that many batched
-    noise realizations per query ({!Benchmarks}); batch 1 is
-    bit-identical to the historical campaign. *)
+(** {2 Running the campaign}
 
-val print_cells : Format.formatter -> cell list -> unit
-
-val summarize : cell list -> float * float * float
-(** (detection rate, recovery rate, mean residual loss). *)
-
-(** [report ?quick ?pool ppf] — run the campaign and print the table;
-    [true] when detection and recovery rates are both 100%. [quick]
-    restricts to {!quick_scenarios}; [pool] fans the cells out across
-    domains. *)
-val report : ?quick:bool -> ?pool:Promise_core.Pool.t -> Format.formatter -> bool
-
-(** {2 Supervised, checkpointed execution}
-
-    The same campaign as a resumable item stream: cells run under a
-    {!Promise_core.Supervisor.session} (deadline, bounded retry,
-    quarantine, incident log), progress is checkpointed atomically
-    after every chunk, SIGINT/SIGTERM (via the session's stop flag)
-    flushes a final checkpoint instead of losing the run, and a rerun
-    with [resume] picks up exactly where the previous process died.
-    Both paths are deterministic: an interrupted-and-resumed run
-    assembles the same cell list, bit for bit, as an uninterrupted one
-    at the same job count. *)
+    The campaign is a stream of [benchmarks × scenarios] independent
+    cells (benchmark-major) on a {!Promise_core.Runner} backend: in
+    process on a pool under a supervisor session (deadline, retry,
+    quarantine, checkpoint/resume, stop flag), or sharded across forked
+    workers by a fleet. Each execution scope — the in-process run, or
+    one fleet shard — computes each benchmark's fault-free baseline
+    once, on first use, through a memo shared safely by the pool
+    domains; baselines are recomputed on resume, never checkpointed.
+    The cell list is the same, bit for bit, at any job or worker
+    count, through worker crashes, and across interrupt/resume
+    cycles. *)
 
 type cell_result = {
   r_benchmark : string;
   r_scenario : string;
   r_cell : (cell, Promise_core.Error.t) result;
-      (** [Error] = the cell was quarantined (deadline or retry budget
-          exhausted); its siblings are unaffected *)
+      (** [Error] = the cell was quarantined (deadline, retry budget,
+          a raising cell, a dead fleet shard, or a failed baseline —
+          context [("cascade", "baseline failed")]); its siblings are
+          unaffected *)
 }
-
-type outcome =
-  | Completed of cell_result list  (** every cell accounted for *)
-  | Interrupted of { completed : int; total : int }
-      (** the stop flag was raised; progress is in the checkpoint *)
-  | Rejected of Promise_core.Error.t
-      (** the checkpoint belongs to a different run configuration *)
 
 val config_digest :
   ?batch:int ->
@@ -108,23 +81,36 @@ val config_digest :
     library version. A checkpoint written at one batch width is a
     stale-checkpoint rejection at any other. *)
 
-val run_cells_supervised :
-  ?pool:Promise_core.Pool.t ->
+val run :
   ?batch:int ->
   ?on_checkpoint:(completed:int -> total:int -> unit) ->
-  Promise_core.Supervisor.session ->
+  ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
+  Promise_core.Runner.backend ->
   scenarios:scenario list ->
   benchmarks:Benchmarks.t list ->
   unit ->
-  outcome
-(** Supervised {!run_cells}. Baselines are supervised items too (a
-    quarantined baseline cascades to its benchmark's cells); the grid
-    then runs in pool-width chunks with a checkpoint flush (and
-    [on_checkpoint] callback) after each. A completed run removes its
-    checkpoint. *)
+  cell_result list Promise_core.Runner.outcome
+(** Every cell, in grid order. [batch] (default 1) scores that many
+    batched noise realizations per query ({!Benchmarks}); batch 1 is
+    bit-identical to the historical campaign. The callbacks are
+    {!Promise_core.Runner.run}'s. *)
+
+val run_cells :
+  ?pool:Promise_core.Pool.t ->
+  ?batch:int ->
+  scenarios:scenario list ->
+  benchmarks:Benchmarks.t list ->
+  unit ->
+  cell list
+(** {!run} in process on [pool] (default sequential) under
+    {!Promise_core.Supervisor.plain}. Raises [Failure] if a cell
+    fails. *)
+
+val summarize : cell list -> float * float * float
+(** (detection rate, recovery rate, mean residual loss). *)
 
 val print_cell_results : Format.formatter -> cell_result list -> unit
-(** The {!print_cells} table with QUARANTINED rows for [Error] cells. *)
+(** The campaign table, with QUARANTINED rows for [Error] cells. *)
 
 type supervised_summary = {
   cells : int;
@@ -136,27 +122,22 @@ type supervised_summary = {
 
 val summarize_results : cell_result list -> supervised_summary
 
-val report_supervised :
+val report :
   ?quick:bool ->
-  ?pool:Promise_core.Pool.t ->
+  ?batch:int ->
   ?on_checkpoint:(completed:int -> total:int -> unit) ->
-  Promise_core.Supervisor.session ->
+  ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
+  Promise_core.Runner.backend ->
   Format.formatter ->
-  outcome
-(** Supervised {!report}: prints the same header/table/summary (plus a
-    quarantine line when any cell was isolated) and returns the
-    outcome for the CLI to turn into an exit status. *)
+  cell_result list Promise_core.Runner.outcome
+(** Run the campaign over {!fast_benchmarks} and print the header, the
+    table and the summary rates (plus a quarantine line when any cell
+    was isolated) on [ppf]; the header alone when the run is
+    interrupted or rejected. [quick] restricts to {!quick_scenarios}.
+    Fleet statistics are in the outcome, not printed: the output is
+    the same whatever the backend. *)
 
-(** {2 Fleet (multi-process) execution}
-
-    The same grid sharded across forked worker processes via
-    {!Promise_core.Fleet}: contiguous index ranges, one per shard,
-    each shard recomputing (memoized, deterministic) the baselines of
-    the benchmarks it touches. Results aggregate shard-major, so the
-    cell list — and the printed table — is bit-identical to the
-    supervised path at any worker count, through worker crashes, and
-    across kill/resume cycles. A quarantined shard expands to one
-    QUARANTINED row per cell it covered. *)
+(** {2 The fleet campaign, in its historical outcome type} *)
 
 type fleet_outcome =
   | Fleet_completed of cell_result list * Promise_core.Fleet.summary
@@ -174,21 +155,4 @@ val run_cells_fleet :
   benchmarks:Benchmarks.t list ->
   unit ->
   fleet_outcome
-(** {!run_cells} across a worker fleet. [shards] is a request: the
-    grid is split into at most that many non-empty ranges. [batch]
-    (default 1) is forwarded to every evaluation and folded into the
-    shard checkpoint digest, so kill/resume runs at batch N stay
-    bit-identical to uninterrupted batch-N runs and can never resume a
-    differently-batched shard. *)
-
-val report_fleet :
-  ?quick:bool ->
-  ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
-  ?batch:int ->
-  Promise_core.Fleet.config ->
-  shards:int ->
-  Format.formatter ->
-  fleet_outcome
-(** Fleet {!report_supervised}: identical header/table/summary on
-    [ppf] (fleet statistics are in the returned summary, not printed —
-    stdout stays diffable against the supervised path). *)
+(** {!run} on [Runner.Fleet { config; shards }]. *)

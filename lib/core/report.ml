@@ -499,7 +499,9 @@ let yield_analysis ?(pool = Pool.sequential) ppf =
     [ (B.matched_filter (), 1); (B.template_l2 (), 2); (B.template_l2 (), 4) ]
 
 let validation ppf = ignore (Validation.report ppf)
-let resilience ?pool ppf = ignore (Campaign.report ?pool ppf)
+let resilience ?(pool = Pool.sequential) ppf =
+  let session = Promise_core.Supervisor.plain in
+  ignore (Campaign.report (Promise_core.Runner.Local { pool; session }) ppf)
 
 (* Each section printer takes the pool explicitly so the CLI can thread
    [--jobs] through named-section selection; pool-oblivious sections
@@ -530,296 +532,80 @@ let sections : (string * bool * (Pool.t -> Format.formatter -> unit)) list =
     ("yield", true, fun pool ppf -> yield_analysis ~pool ppf);
   ]
 
-(* Sections are rendered to private buffers — concurrently when the
-   pool allows — and printed in list order, so the assembled report is
-   byte-identical at any job count (each section is deterministic and
-   writes only to its own formatter). *)
-let print_sections ?(pool = Pool.sequential) ppf fns =
-  let render f =
-    let buf = Buffer.create 4096 in
-    let bppf = Format.formatter_of_buffer buf in
-    f pool bppf;
-    Format.pp_print_flush bppf ();
-    Buffer.contents buf
-  in
-  List.iter
-    (Format.pp_print_string ppf)
-    (Pool.map_list pool render fns);
-  Format.pp_print_flush ppf ()
-
-let quick ?pool ppf =
-  print_sections ?pool ppf
-    (List.filter_map
-       (fun (_, slow, f) -> if slow then None else Some f)
-       sections)
-
-let all ?pool ppf =
-  print_sections ?pool ppf (List.map (fun (_, _, f) -> f) sections)
-
-(* ------------------------------------------------------------------ *)
-(* Supervised, checkpointed rendering                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Sup = Promise_core.Supervisor
-module Ckpt = Promise_core.Checkpoint
-module Inc = Promise_core.Incident
-module E = Promise_core.Error
-
-type sections_outcome =
-  | Sections_done of { quarantined : int }
-  | Sections_interrupted of { completed : int; total : int }
-  | Sections_rejected of E.t
-
-let sections_digest names =
-  Ckpt.digest_of_config ~kind:"report-sections" names
-
 let quick_names () =
   List.filter_map (fun (n, slow, _) -> if slow then None else Some n) sections
 
 let all_names () = List.map (fun (n, _, _) -> n) sections
 
-(* Render the named sections under the session: each section is one
-   supervised work item (deadline / retry / quarantine), finished
-   renders checkpoint after every pool-width chunk, and the assembled
-   report prints only once everything is in — in list order, so the
-   output is byte-identical to the unsupervised path whatever the job
+module E = Promise_core.Error
+module Runner = Promise_core.Runner
+
+let resolve names =
+  match List.filter (fun n -> not (List.mem n (all_names ()))) names with
+  | [] ->
+      Ok
+        (List.map
+           (fun name ->
+             let _, _, f = List.find (fun (n, _, _) -> n = name) sections in
+             (name, f))
+           names)
+  | unknown ->
+      E.fail ~layer:"report" ~code:E.Invalid_operand
+        ~context:[ ("available", String.concat ", " (all_names ())) ]
+        ("unknown sections: " ^ String.concat ", " unknown)
+
+(* A section writes only to its own formatter, so rendering it to a
+   private buffer and printing the buffers in list order gives the same
+   bytes whatever ran concurrently. *)
+let render pool f =
+  let buf = Buffer.create 4096 in
+  let bppf = Format.formatter_of_buffer buf in
+  f pool bppf;
+  Format.pp_print_flush bppf ();
+  Buffer.contents buf
+
+let print_sections ?(pool = Pool.sequential) ppf fns =
+  List.iter
+    (Format.pp_print_string ppf)
+    (Pool.map_list pool (render pool) fns);
+  Format.pp_print_flush ppf ()
+
+(* Each section is one runner item; the assembled report prints only
+   once every item is in, in list order, so the output is
+   byte-identical to {!print_sections} whatever the backend, the job
    count or the number of interruptions. *)
-let run_sections_supervised ?(pool = Pool.sequential)
-    ?(on_checkpoint = fun ~completed:_ ~total:_ -> ())
-    (session : Sup.session) ppf names =
-  let cfg = session.Sup.sup in
-  let inc = cfg.Sup.incidents in
-  let named =
-    List.filter_map
-      (fun name ->
-        List.find_opt (fun (n, _, _) -> n = name) sections
-        |> Option.map (fun (n, _, f) -> (n, f)))
-      names
-  in
-  let narr = Array.of_list named in
-  let total = Array.length narr in
-  let digest = sections_digest (List.map fst named) in
-  let count_some arr =
-    Array.fold_left (fun n o -> if o = None then n else n + 1) 0 arr
-  in
-  let loaded =
-    match session.Sup.checkpoint with
-    | Some path when session.Sup.resume && Ckpt.exists path -> (
-        match
-          (Ckpt.load ~path ~config_digest:digest
-            : ((string, E.t) result option array, E.t) result)
-        with
-        | Ok p when Array.length p = total ->
-            Inc.record inc Inc.Checkpoint_resume
-              [
-                ("path", path);
-                ("sections_done", string_of_int (count_some p));
-                ("total", string_of_int total);
-              ];
-            Ok p
-        | Ok _ ->
-            Error
-              (E.make ~layer:"report" ~code:E.Stale_checkpoint
-                 ~context:[ ("path", path) ]
-                 "checkpoint section count does not match this report")
-        | Error e ->
-            Inc.record inc Inc.Checkpoint_stale [ ("error", E.to_string e) ];
-            Error e)
-    | _ -> Ok (Array.make total None)
-  in
-  match loaded with
-  | Error e -> Sections_rejected e
-  | Ok rendered ->
-      let save () =
-        match session.Sup.checkpoint with
-        | None -> ()
-        | Some path -> (
-            match Ckpt.save ~path ~config_digest:digest rendered with
-            | Ok () ->
-                let completed = count_some rendered in
-                Inc.record inc Inc.Checkpoint_write
-                  [
-                    ("path", path);
-                    ("sections_done", string_of_int completed);
-                    ("total", string_of_int total);
-                  ];
-                on_checkpoint ~completed ~total
-            | Error e ->
-                Inc.record inc Inc.Degradation
-                  [ ("what", "checkpoint write failed");
-                    ("error", E.to_string e) ])
+let run_sections ?on_checkpoint ?on_shard_done backend ppf names =
+  match resolve names with
+  | Error e -> Runner.Rejected e
+  | Ok named ->
+      let narr = Array.of_list named in
+      (* a fleet worker renders on its own, domain-free *)
+      let pool =
+        match backend with
+        | Runner.Local { pool; _ } -> pool
+        | Runner.Fleet _ -> Pool.sequential
       in
-      let interrupted () =
-        save ();
-        Inc.record inc Inc.Signal
-          [
-            ( "signal",
-              match Sup.stop_signal session.Sup.stop with
-              | Some n -> Sup.signal_name n
-              | None -> "request" );
-            ("sections_done", string_of_int (count_some rendered));
-            ("total", string_of_int total);
-          ];
-        Sections_interrupted { completed = count_some rendered; total }
+      let outcome =
+        Runner.run ?on_checkpoint ?on_shard_done backend ~what:"report"
+          ~digest:
+            (Promise_core.Checkpoint.digest_of_config ~kind:"report-sections"
+               names)
+          ~label:(fun i -> "section:" ^ fst narr.(i))
+          ~total:(Array.length narr)
+          (fun () i -> Ok (render pool (snd narr.(i))))
       in
-      let render i () =
-        let _, f = narr.(i) in
-        let buf = Buffer.create 4096 in
-        let bppf = Format.formatter_of_buffer buf in
-        f pool bppf;
-        Format.pp_print_flush bppf ();
-        Ok (Buffer.contents buf)
-      in
-      Inc.record inc Inc.Run_start
-        [
-          ("what", "report");
-          ("total_sections", string_of_int total);
-          ("jobs", string_of_int (Pool.jobs pool));
-          ("resumed", string_of_int (count_some rendered));
-        ];
-      let chunk_size = max 1 (Pool.jobs pool) in
-      let rec take k = function
-        | [] -> ([], [])
-        | l when k = 0 -> ([], l)
-        | x :: tl ->
-            let a, b = take (k - 1) tl in
-            (x :: a, b)
-      in
-      let rec loop pending =
-        if Sup.stop_requested session.Sup.stop then interrupted ()
-        else
-          match pending with
-          | [] ->
-              let quarantined = ref 0 in
-              Array.iteri
-                (fun i r ->
-                  match Option.get r with
-                  | Ok s -> Format.pp_print_string ppf s
-                  | Error e ->
-                      incr quarantined;
-                      Format.fprintf ppf
-                        "@.== %s ==@.   SECTION QUARANTINED: %s@."
-                        (fst narr.(i)) (E.to_string e))
-                rendered;
-              Format.pp_print_flush ppf ();
-              Inc.record inc Inc.Run_end
-                [ ("what", "report"); ("total_sections", string_of_int total) ];
-              (match session.Sup.checkpoint with
-              | Some path -> Ckpt.remove path
-              | None -> ());
-              Sections_done { quarantined = !quarantined }
-          | _ ->
-              let chunk, rest = take chunk_size pending in
-              let carr = Array.of_list chunk in
-              let results =
-                Sup.map_result ~pool cfg
-                  ~label:(fun k -> "section:" ^ fst narr.(carr.(k)))
-                  (fun i -> render i ())
-                  chunk
-              in
-              List.iter2
-                (fun i r -> rendered.(i) <- Some r)
-                chunk results;
-              save ();
-              loop rest
-      in
-      loop
-        (List.filter (fun i -> rendered.(i) = None) (List.init total Fun.id))
-
-(* ------------------------------------------------------------------ *)
-(* Fleet (multi-process) rendering                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Fleet = Promise_core.Fleet
-
-type sections_fleet_outcome =
-  | Sections_fleet_done of { quarantined : int; summary : Fleet.summary }
-  | Sections_fleet_interrupted of { completed_shards : int; total_shards : int }
-  | Sections_fleet_rejected of E.t
-
-let empty_fleet_summary =
-  {
-    Fleet.shards = 0;
-    workers = 0;
-    restarts = 0;
-    resumed = 0;
-    quarantined = 0;
-    total_ms = 0.0;
-    timings = [||];
-  }
-
-(* The named sections sharded across forked workers: each shard
-   renders a contiguous slice of the section list to strings (one
-   buffer per section, exceptions captured per section so a broken
-   section quarantines only itself), and the parent prints the slices
-   in list order — byte-identical to the in-process paths whatever the
-   worker count or how many workers died on the way. *)
-let run_sections_fleet ?on_shard_done (fcfg : Fleet.config) ~shards ppf names =
-  let named =
-    List.filter_map
-      (fun name ->
-        List.find_opt (fun (n, _, _) -> n = name) sections
-        |> Option.map (fun (n, _, f) -> (n, f)))
-      names
-  in
-  let narr = Array.of_list named in
-  let total = Array.length narr in
-  if total = 0 then
-    Sections_fleet_done { quarantined = 0; summary = empty_fleet_summary }
-  else begin
-    let ranges = Fleet.ranges ~shards ~items:total in
-    let digest = sections_digest (List.map fst named) in
-    let render_one i =
-      let name, f = narr.(i) in
-      try
-        let buf = Buffer.create 4096 in
-        let bppf = Format.formatter_of_buffer buf in
-        f Pool.sequential bppf;
-        Format.pp_print_flush bppf ();
-        Ok (Buffer.contents buf)
-      with exn ->
-        let bt = String.trim (Printexc.get_backtrace ()) in
-        Error
-          (E.make ~layer:"report-fleet" ~code:E.Internal
-             ~context:
-               (("section", name)
-               :: ("exn", Printexc.to_string exn)
-               :: (if bt = "" then [] else [ ("backtrace", bt) ]))
-             "section raised in fleet worker")
-    in
-    let f ~shard =
-      let off, len = ranges.(shard) in
-      Ok (List.init len (fun k -> render_one (off + k)))
-    in
-    match Fleet.run ?on_shard_done fcfg ~digest ~shards:(Array.length ranges) ~f with
-    | Fleet.Fleet_rejected e -> Sections_fleet_rejected e
-    | Fleet.Fleet_interrupted { completed; total } ->
-        Sections_fleet_interrupted
-          { completed_shards = completed; total_shards = total }
-    | Fleet.Fleet_done (slots, summary) ->
-        let quarantined = ref 0 in
-        Array.iteri
-          (fun sh slot ->
-            let off, len = ranges.(sh) in
-            let per_section =
-              match slot with
-              | Ok rendered -> rendered
+      Runner.map
+        (fun rendered ->
+          let quarantined = ref 0 in
+          Array.iteri
+            (fun i r ->
+              match r with
+              | Ok s -> Format.pp_print_string ppf s
               | Error e ->
-                  List.init len (fun _ ->
-                      Error (E.with_context e [ ("shard", string_of_int sh) ]))
-            in
-            List.iteri
-              (fun k r ->
-                match r with
-                | Ok s -> Format.pp_print_string ppf s
-                | Error e ->
-                    incr quarantined;
-                    Format.fprintf ppf
-                      "@.== %s ==@.   SECTION QUARANTINED: %s@."
-                      (fst narr.(off + k))
-                      (E.to_string e))
-              per_section)
-          slots;
-        Format.pp_print_flush ppf ();
-        Sections_fleet_done { quarantined = !quarantined; summary }
-  end
+                  incr quarantined;
+                  Format.fprintf ppf "@.== %s ==@.   SECTION QUARANTINED: %s@."
+                    (fst narr.(i)) (E.to_string e))
+            rendered;
+          Format.pp_print_flush ppf ();
+          !quarantined)
+        outcome

@@ -91,8 +91,9 @@ val dma_overhead : Format.formatter -> unit
 val validation : Format.formatter -> unit
 
 (** [resilience ?pool ppf] — the fault-injection campaign
-    ({!Campaign.report}): scenario × benchmark detection / recovery
-    table. Slow; [pool] fans the campaign cells out across domains. *)
+    ({!Campaign.report}, in process on [pool] under the plain
+    session): scenario × benchmark detection / recovery table. Slow;
+    [pool] fans the campaign cells out across domains. *)
 val resilience : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
 
 (** [yield_analysis ?pool ppf] — accuracy distribution across
@@ -101,17 +102,24 @@ val resilience : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
     [pool] evaluates the dies concurrently. *)
 val yield_analysis : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
 
-(** [quick ?pool ppf] — every section except the slow
-    {!fig12}/{!table2}. *)
-val quick : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
-
-(** [all ?pool ppf] — every section. *)
-val all : ?pool:Promise_core.Pool.t -> Format.formatter -> unit
-
 (** [sections] — (name, slow, printer) for CLI selection; every printer
     takes the pool explicitly (pool-oblivious sections ignore it). *)
 val sections :
   (string * bool * (Promise_core.Pool.t -> Format.formatter -> unit)) list
+
+val quick_names : unit -> string list
+(** Names of the non-slow sections, in print order. *)
+
+val all_names : unit -> string list
+
+val resolve :
+  string list ->
+  ( (string * (Promise_core.Pool.t -> Format.formatter -> unit)) list,
+    Promise_core.Error.t )
+  result
+(** The named sections' printers, in the given order; an
+    [Invalid_operand] error naming every unknown section (and listing
+    the available ones) if any name is unknown. *)
 
 (** [print_sections ?pool ppf fns] — render each section to a private
     buffer (concurrently when [pool] allows) and print them in list
@@ -122,60 +130,17 @@ val print_sections :
   (Promise_core.Pool.t -> Format.formatter -> unit) list ->
   unit
 
-(** {2 Supervised, checkpointed rendering} *)
-
-type sections_outcome =
-  | Sections_done of { quarantined : int }
-      (** printed; [quarantined] sections were replaced by their error *)
-  | Sections_interrupted of { completed : int; total : int }
-      (** stop flag raised; finished renders are in the checkpoint *)
-  | Sections_rejected of Promise_core.Error.t
-      (** the checkpoint belongs to a different section list *)
-
-val quick_names : unit -> string list
-(** Names of the non-slow sections, in print order. *)
-
-val all_names : unit -> string list
-
-val sections_digest : string list -> string
-(** The digest guarding report checkpoints (ordered section names). *)
-
-val run_sections_supervised :
-  ?pool:Promise_core.Pool.t ->
+val run_sections :
   ?on_checkpoint:(completed:int -> total:int -> unit) ->
-  Promise_core.Supervisor.session ->
-  Format.formatter ->
-  string list ->
-  sections_outcome
-(** Render the named sections as supervised work items: each render is
-    deadline/retry/quarantine-supervised, finished renders are
-    checkpointed after every pool-width chunk, and the assembled
-    report prints once, in section order — byte-identical to
-    {!print_sections} however often the run was interrupted and
-    resumed. Unknown names are skipped (the CLIs report them). A
-    completed run removes its checkpoint. *)
-
-(** {2 Fleet (multi-process) rendering} *)
-
-type sections_fleet_outcome =
-  | Sections_fleet_done of {
-      quarantined : int;
-      summary : Promise_core.Fleet.summary;
-    }
-      (** printed; [quarantined] sections were replaced by their error *)
-  | Sections_fleet_interrupted of { completed_shards : int; total_shards : int }
-  | Sections_fleet_rejected of Promise_core.Error.t
-
-val run_sections_fleet :
   ?on_shard_done:(shard:int -> completed:int -> total:int -> unit) ->
-  Promise_core.Fleet.config ->
-  shards:int ->
+  Promise_core.Runner.backend ->
   Format.formatter ->
   string list ->
-  sections_fleet_outcome
-(** {!run_sections_supervised} across forked worker processes: the
-    named sections are split into at most [shards] contiguous slices,
-    each rendered in a crash-isolated worker (exceptions captured per
-    section; a quarantined {e shard} quarantines every section it
-    covered), and printed in section order — byte-identical to
-    {!print_sections} through worker crashes and kill/resume cycles. *)
+  int Promise_core.Runner.outcome
+(** Render the named sections as {!Promise_core.Runner} items — each
+    supervised in process, or crash-isolated in a fleet worker — and,
+    once all are in, print them in order: byte-identical to
+    {!print_sections} however the run was executed, interrupted and
+    resumed. A quarantined section prints as its error; [Done]
+    carries the number of them. Unknown names reject the run
+    ({!resolve}) before any work. *)

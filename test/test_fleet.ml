@@ -494,6 +494,93 @@ let test_fleet_chaos_kill_one () =
     (count_substring ~needle:"\"kind\":\"chaos\"" (Buffer.contents buf))
 
 (* ------------------------------------------------------------------ *)
+(* Runner: the fleet backend                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The local runner below stays on Pool.sequential under the plain
+   session: no domain is ever spawned, so the fleets may still fork. *)
+let runner_items ?(digest = "runner") backend ~total item =
+  match
+    P.Runner.run backend ~what:"test" ~digest ~label:(Printf.sprintf "it-%d")
+      ~total (fun () -> item)
+  with
+  | P.Runner.Done (items, summary) -> (items, summary)
+  | P.Runner.Interrupted _ -> fail "unexpected interruption"
+  | P.Runner.Rejected e -> fail ("rejected: " ^ E.to_string e)
+
+let test_runner_local_equals_fleet () =
+  let item i = Ok (i * 7) in
+  let local, none = runner_items
+      (P.Runner.Local { pool = P.Pool.sequential; session = Sup.plain }) ~total:13 item in
+  check bool "no fleet summary in process" true (none = None);
+  let fleet, summary =
+    runner_items
+      (P.Runner.Fleet { config = fleet_config ~workers:2 (); shards = 5 })
+      ~total:13 item
+  in
+  check bool "same per-item array" true (local = fleet);
+  match summary with
+  | Some s -> check int "five shards" 5 s.Fleet.shards
+  | None -> fail "expected a fleet summary"
+
+let test_runner_fleet_raising_item () =
+  let items, _ =
+    runner_items
+      (P.Runner.Fleet { config = fleet_config ~workers:2 (); shards = 2 })
+      ~total:6
+      (fun i -> if i = 4 then failwith "item 4 broke" else Ok i)
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok v -> check int "sibling completes" i v
+      | Error e ->
+          check int "only the raising slot" 4 i;
+          check string "names the item" "it-4" (List.assoc "item" e.E.context))
+    items;
+  check bool "slot 4 quarantined" true (Result.is_error items.(4))
+
+let test_runner_quarantined_shard_expands () =
+  (* 7 items on 3 shards: ranges 0-1, 2-3, 4-6; the middle shard's
+     worker dies every time, so both of its items become errors *)
+  let items, summary =
+    runner_items
+      (P.Runner.Fleet
+         { config = fleet_config ~workers:2 ~max_restarts:0 (); shards = 3 })
+      ~total:7
+      (fun i ->
+        if i = 2 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        Ok i)
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Ok v ->
+          check bool "outside the dead shard" true (i < 2 || i > 3);
+          check int "value" i v
+      | Error e ->
+          check bool "inside the dead shard" true (i = 2 || i = 3);
+          check string "typed quarantine" "retry-exhausted"
+            (E.code_name e.E.code);
+          check string "shard context" "1" (List.assoc "shard" e.E.context))
+    items;
+  match summary with
+  | Some s -> check int "one quarantined shard" 1 s.Fleet.quarantined
+  | None -> fail "expected a fleet summary"
+
+let test_runner_fleet_empty_stream () =
+  let items, summary =
+    runner_items
+      (P.Runner.Fleet { config = fleet_config (); shards = 4 })
+      ~total:0
+      (fun _ -> fail "no item may run")
+  in
+  check int "no items" 0 (Array.length items);
+  match summary with
+  | Some s -> check int "no shards" 0 s.Fleet.shards
+  | None -> fail "expected a fleet summary"
+
+(* ------------------------------------------------------------------ *)
 (* Campaign over a fleet ≡ the in-process campaign                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -602,6 +689,17 @@ let () =
             test_fleet_error_slot_keeps_checkpoints;
           test_case "fully-checkpointed fleet forks nothing" `Quick
             test_fleet_all_resumed_no_fork;
+        ] );
+      ( "runner",
+        [
+          test_case "local and fleet give the same items" `Quick
+            test_runner_local_equals_fleet;
+          test_case "a raising item costs only its slot" `Quick
+            test_runner_fleet_raising_item;
+          test_case "a quarantined shard expands to per-item errors" `Quick
+            test_runner_quarantined_shard_expands;
+          test_case "empty stream is Done" `Quick
+            test_runner_fleet_empty_stream;
         ] );
       ( "campaign",
         [

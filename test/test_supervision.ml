@@ -148,6 +148,50 @@ let test_checkpoint_corrupt_and_missing () =
   check string "corrupt" "invalid-operand" (E.code_name (code corrupt));
   Ckpt.remove path
 
+(* Every single-bit flip of a saved checkpoint must load as a typed
+   error: a flipped payload bit used to unmarshal as a different value
+   (or claim an absurd allocation) because only the digest was checked. *)
+let test_checkpoint_bit_flips () =
+  let path = tmp_path ".ckpt" in
+  let digest = Ckpt.digest_of_config ~kind:"test" [ "flips" ] in
+  let payload = [| Some (Ok 1.5); None; Some (Error "x") |] in
+  get_ok (Ckpt.save ~path ~config_digest:digest payload);
+  let bytes = In_channel.with_open_bin path In_channel.input_all in
+  let write b = Out_channel.with_open_bin path (fun oc -> output_bytes oc b) in
+  for bit = 0 to (8 * String.length bytes) - 1 do
+    let b = Bytes.of_string bytes in
+    let i = bit / 8 in
+    Bytes.set b i (Char.chr (Char.code bytes.[i] lxor (1 lsl (bit mod 8))));
+    write b;
+    match
+      (Ckpt.load ~path ~config_digest:digest
+        : ((float, string) result option array, E.t) result)
+    with
+    | Ok _ -> fail (Printf.sprintf "bit %d flipped, still loaded as Ok" bit)
+    | Error _ -> ()
+    | exception exn ->
+        fail (Printf.sprintf "bit %d: load raised %s" bit (Printexc.to_string exn))
+  done;
+  write (Bytes.of_string bytes);
+  check bool "the intact file still loads" true
+    (get_ok (Ckpt.load ~path ~config_digest:digest) = payload);
+  Ckpt.remove path
+
+(* A file of the previous format (no payload length or MD5) is stale,
+   not garbage. *)
+let test_checkpoint_v1_is_stale () =
+  let path = tmp_path ".ckpt" in
+  let digest = Ckpt.digest_of_config ~kind:"test" [ "v1" ] in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "PROMISE-CKPT";
+      output_binary_int oc 1;
+      output_binary_int oc (String.length digest);
+      output_string oc digest;
+      Marshal.to_channel oc [ 1; 2; 3 ] []);
+  let r : (int list, E.t) result = Ckpt.load ~path ~config_digest:digest in
+  check string "v1 header" "stale-checkpoint" (E.code_name (code r));
+  Ckpt.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Incident log                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -308,7 +352,8 @@ let test_stop_flag () =
   check bool "initially unset" false (Sup.stop_requested stop);
   Sup.request_stop stop;
   check bool "set" true (Sup.stop_requested stop);
-  check bool "no signal for programmatic stop" true (Sup.stop_signal stop = None)
+  check bool "no signal for programmatic stop" true (Sup.stop_signal stop = None);
+  check int "programmatic stop exits 130" 130 (Sup.exit_code stop)
 
 let test_map_result_empty_stream () =
   (* zero items: no pool work, no incidents, just [] back *)
@@ -357,19 +402,21 @@ let test_stop_before_first_chunk () =
   let benchmarks = [ P.Benchmarks.matched_filter () ] in
   let stop = Sup.never_stop () in
   Sup.request_stop stop;
-  let session = Sup.session ~stop () in
-  (match P.Campaign.run_cells_supervised session ~scenarios ~benchmarks () with
-  | P.Campaign.Interrupted { completed; total } ->
+  let backend =
+    P.Runner.Local { pool = P.Pool.sequential; session = Sup.session ~stop () }
+  in
+  (match P.Campaign.run backend ~scenarios ~benchmarks () with
+  | P.Runner.Interrupted { completed; total } ->
       check int "no cells computed" 0 completed;
       check bool "total still reported" true (total > 0)
   | _ -> fail "expected Interrupted before the first chunk");
   let buf = Buffer.create 64 in
   let ppf = Format.formatter_of_buffer buf in
-  (match P.Report.run_sections_supervised session ppf [ "table1" ] with
-  | P.Report.Sections_interrupted { completed; total } ->
+  (match P.Report.run_sections backend ppf [ "table1" ] with
+  | P.Runner.Interrupted { completed; total } ->
       check int "no sections rendered" 0 completed;
       check int "one section requested" 1 total
-  | _ -> fail "expected Sections_interrupted before the first section")
+  | _ -> fail "expected Interrupted before the first section")
 
 let test_pool_item_failure_context () =
   (* a Pool.Item_failure escaping the supervised function must surface
@@ -419,6 +466,136 @@ let test_incident_rotation () =
   Sys.remove backup
 
 (* ------------------------------------------------------------------ *)
+(* Runner: the local backend                                           *)
+(* ------------------------------------------------------------------ *)
+
+let local session = P.Runner.Local { pool = P.Pool.sequential; session }
+
+let run_squares ?on_checkpoint ?(calls = Atomic.make 0) backend ~total =
+  P.Runner.run ?on_checkpoint backend ~what:"squares" ~digest:"squares"
+    ~label:(Printf.sprintf "sq-%d") ~total (fun () i ->
+      Atomic.incr calls;
+      Ok (i * i))
+
+let done_items = function
+  | P.Runner.Done (items, _) -> items
+  | P.Runner.Interrupted _ -> fail "unexpected Interrupted"
+  | P.Runner.Rejected e -> fail ("unexpected Rejected: " ^ E.to_string e)
+
+let test_runner_jobs_identical () =
+  let seq = done_items (run_squares (local Sup.plain) ~total:23) in
+  P.Pool.with_pool ~jobs:2 (fun pool ->
+      let par =
+        done_items
+          (run_squares (P.Runner.Local { pool; session = Sup.plain }) ~total:23)
+      in
+      check bool "jobs 1 == jobs 2" true (seq = par));
+  Array.iteri (fun i r -> check int "item value" (i * i) (get_ok r)) seq
+
+let test_runner_raising_item () =
+  P.Pool.with_pool ~jobs:2 (fun pool ->
+      let items =
+        done_items
+          (P.Runner.run
+             (P.Runner.Local { pool; session = Sup.plain })
+             ~what:"test" ~digest:"raise" ~label:(Printf.sprintf "it-%d")
+             ~total:6
+             (fun () i -> if i = 3 then failwith "item 3 broke" else Ok i))
+      in
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Ok v -> check int "sibling completes" i v
+          | Error e ->
+              check int "only the raising slot" 3 i;
+              check string "names the item" "it-3" (List.assoc "item" e.E.context))
+        items;
+      check bool "slot 3 quarantined" true (Result.is_error items.(3)))
+
+let test_runner_empty_stream () =
+  let buf = Buffer.create 64 in
+  let sup = Sup.config ~incidents:(Inc.to_buffer buf) () in
+  let calls = Atomic.make 0 in
+  (match
+     run_squares ~calls
+       (P.Runner.Local { pool = P.Pool.sequential; session = Sup.session ~sup () })
+       ~total:0
+   with
+  | P.Runner.Done ([||], None) -> ()
+  | _ -> fail "expected Done with no items");
+  check int "no item ran" 0 (Atomic.get calls)
+
+let test_runner_stop_before_first_chunk () =
+  let stop = Sup.never_stop () in
+  Sup.request_stop stop;
+  let calls = Atomic.make 0 in
+  match
+    run_squares ~calls
+      (P.Runner.Local { pool = P.Pool.sequential; session = Sup.session ~stop () })
+      ~total:5
+  with
+  | P.Runner.Interrupted { completed; total } ->
+      check int "nothing completed" 0 completed;
+      check int "total reported" 5 total;
+      check int "no item ran" 0 (Atomic.get calls)
+  | _ -> fail "expected Interrupted"
+
+let test_runner_resume_jobs2 () =
+  P.Pool.with_pool ~jobs:2 (fun pool ->
+      let total = 11 in
+      let local session = P.Runner.Local { pool; session } in
+      let reference = done_items (run_squares (local Sup.plain) ~total) in
+      let path = tmp_path ".ckpt" in
+      let buf = Buffer.create 1024 in
+      let sup = Sup.config ~incidents:(Inc.to_buffer buf) () in
+      let stop = Sup.never_stop () in
+      let first =
+        run_squares
+          ~on_checkpoint:(fun ~completed ~total:_ ->
+            if completed >= 4 then Sup.request_stop stop)
+          (local (Sup.session ~sup ~checkpoint:path ~stop ()))
+          ~total
+      in
+      let completed =
+        match first with
+        | P.Runner.Interrupted { completed; total = t } ->
+            check int "total" total t;
+            check bool "stopped mid-run" true (completed >= 4 && completed < total);
+            completed
+        | _ -> fail "expected Interrupted"
+      in
+      let calls = Atomic.make 0 in
+      let resumed =
+        done_items
+          (run_squares ~calls
+             (local (Sup.session ~sup ~checkpoint:path ~resume:true ()))
+             ~total)
+      in
+      check bool "resumed == uninterrupted" true (resumed = reference);
+      check int "resume runs only the missing items" (total - completed)
+        (Atomic.get calls);
+      check bool "checkpoint removed" false (Ckpt.exists path);
+      let log = Buffer.contents buf in
+      List.iter
+        (fun needle ->
+          check bool needle true
+            (let n = String.length needle in
+             let rec go i =
+               i + n <= String.length log
+               && (String.sub log i n = needle || go (i + 1))
+             in
+             go 0))
+        [ "\"kind\":\"checkpoint-resume\""; "\"items_done\""; "\"kind\":\"run-end\"" ])
+
+let test_report_unknown_sections () =
+  match P.Report.resolve [ "table1"; "nope"; "isa"; "nada" ] with
+  | Ok _ -> fail "unknown names resolved"
+  | Error e ->
+      check string "typed" "invalid-operand" (E.code_name e.E.code);
+      check string "lists every unknown name" "unknown sections: nope, nada"
+        e.E.message
+
+(* ------------------------------------------------------------------ *)
 (* Campaign: interrupt + resume == uninterrupted, bit for bit          *)
 (* ------------------------------------------------------------------ *)
 
@@ -442,10 +619,8 @@ let test_campaign_resume_bit_identical () =
   let scenarios, benchmarks = campaign_fixture () in
   (* 1: uninterrupted reference run *)
   let reference =
-    match
-      P.Campaign.run_cells_supervised Sup.plain ~scenarios ~benchmarks ()
-    with
-    | P.Campaign.Completed results -> results
+    match P.Campaign.run (local Sup.plain) ~scenarios ~benchmarks () with
+    | P.Runner.Done (results, None) -> results
     | _ -> fail "uninterrupted run did not complete"
   in
   (* 2: interrupt after the first checkpoint flush *)
@@ -453,15 +628,13 @@ let test_campaign_resume_bit_identical () =
   let stop = Sup.never_stop () in
   let session = Sup.session ~checkpoint:path ~stop () in
   let interrupted =
-    (* the first flush (after baselines) reports 0 grid cells; stop at
-       the first flush that shows real grid progress *)
-    P.Campaign.run_cells_supervised session
+    P.Campaign.run
       ~on_checkpoint:(fun ~completed ~total:_ ->
         if completed >= 1 then Sup.request_stop stop)
-      ~scenarios ~benchmarks ()
+      (local session) ~scenarios ~benchmarks ()
   in
   (match interrupted with
-  | P.Campaign.Interrupted { completed; total } ->
+  | P.Runner.Interrupted { completed; total } ->
       check bool "made progress before the stop" true (completed >= 1);
       check bool "stopped before the end" true (completed < total)
   | _ -> fail "expected the run to be interrupted");
@@ -470,10 +643,9 @@ let test_campaign_resume_bit_identical () =
   let resumed_session = Sup.session ~checkpoint:path ~resume:true () in
   let resumed =
     match
-      P.Campaign.run_cells_supervised resumed_session ~scenarios ~benchmarks
-        ()
+      P.Campaign.run (local resumed_session) ~scenarios ~benchmarks ()
     with
-    | P.Campaign.Completed results -> results
+    | P.Runner.Done (results, _) -> results
     | _ -> fail "resumed run did not complete"
   in
   check bool "completed run removed its checkpoint" false (Ckpt.exists path);
@@ -487,20 +659,20 @@ let test_campaign_stale_checkpoint_rejected () =
   let stop = Sup.never_stop () in
   let session = Sup.session ~checkpoint:path ~stop () in
   (match
-     P.Campaign.run_cells_supervised session
+     P.Campaign.run
        ~on_checkpoint:(fun ~completed:_ ~total:_ -> Sup.request_stop stop)
-       ~scenarios ~benchmarks ()
+       (local session) ~scenarios ~benchmarks ()
    with
-  | P.Campaign.Interrupted _ -> ()
+  | P.Runner.Interrupted _ -> ()
   | _ -> fail "expected an interrupted run");
   (* resuming under a different scenario set must be refused *)
   let other_scenarios = P.Campaign.quick_scenarios () in
   let resumed_session = Sup.session ~checkpoint:path ~resume:true () in
   (match
-     P.Campaign.run_cells_supervised resumed_session
-       ~scenarios:other_scenarios ~benchmarks ()
+     P.Campaign.run (local resumed_session) ~scenarios:other_scenarios
+       ~benchmarks ()
    with
-  | P.Campaign.Rejected e ->
+  | P.Runner.Rejected e ->
       check string "typed rejection" "stale-checkpoint" (E.code_name e.E.code)
   | _ -> fail "expected the stale checkpoint to be rejected");
   Ckpt.remove path
@@ -532,8 +704,8 @@ let test_report_supervised_matches_plain () =
   let supervised =
     let buf = Buffer.create 4096 in
     let ppf = Format.formatter_of_buffer buf in
-    (match P.Report.run_sections_supervised Sup.plain ppf names with
-    | P.Report.Sections_done { quarantined } ->
+    (match P.Report.run_sections (local Sup.plain) ppf names with
+    | P.Runner.Done (quarantined, _) ->
         check int "nothing quarantined" 0 quarantined
     | _ -> fail "supervised render did not complete");
     Format.pp_print_flush ppf ();
@@ -565,6 +737,10 @@ let () =
             test_checkpoint_corrupt_and_missing;
           Alcotest.test_case "directory fsync after rename" `Quick
             test_checkpoint_dir_fsync;
+          Alcotest.test_case "every bit flip is a typed error" `Quick
+            test_checkpoint_bit_flips;
+          Alcotest.test_case "v1 header is stale" `Quick
+            test_checkpoint_v1_is_stale;
         ] );
       ( "incidents",
         [
@@ -598,6 +774,20 @@ let () =
             test_stop_before_first_chunk;
           Alcotest.test_case "pool item failure context" `Quick
             test_pool_item_failure_context;
+        ] );
+      ( "runner",
+        [
+          Alcotest.test_case "jobs 1 == jobs 2" `Quick test_runner_jobs_identical;
+          Alcotest.test_case "a raising item costs only its slot" `Quick
+            test_runner_raising_item;
+          Alcotest.test_case "empty stream is Done" `Quick
+            test_runner_empty_stream;
+          Alcotest.test_case "stop before the first chunk" `Quick
+            test_runner_stop_before_first_chunk;
+          Alcotest.test_case "interrupt+resume at jobs 2 is identical" `Quick
+            test_runner_resume_jobs2;
+          Alcotest.test_case "unknown report sections" `Quick
+            test_report_unknown_sections;
         ] );
       ( "resume",
         [
