@@ -6,21 +6,22 @@
    membership, ADC constants, X addressing — into a flat record, with
    the aREAD transfer curve and noise sigma pre-sampled per 8-bit code
    (the aREAD input is always [code / 128], so a 256-entry table is
-   exact, not an approximation). [sample_into] then runs
-   class1 → leakage → ASD → charge-share → ADC as tight loops over
-   preallocated scratch buffers: zero minor-heap allocations per
-   iteration in the steady state (noise and transient faults draw
-   through the RNG, whose Box-Muller cache allocates; the no-noise path
-   is allocation-free, which the Gc test in test_kernels asserts).
+   exact, not an approximation). [sample_batch_into] — the one fused
+   sampler — then runs class1 → leakage → ASD → charge-share → ADC for
+   a batch of decisions over an iteration window as tight loops over a
+   per-domain scratch: zero minor-heap allocations in the steady state
+   (the transient-upset draws go through the RNG's boxed scalar calls
+   and may allocate).
 
    BIT-IDENTITY CONTRACT: every float operation below reproduces the
    scalar path's arithmetic in the scalar path's order, and every RNG
    stream (the bank's noise stream, the transient-upset stream) is the
-   bank's own object consumed in ascending lane order exactly as
-   [Bitcell_array.aread] / [Bank.xreg_normalized] consume it. The
-   QCheck differential suite (test_kernels) holds Fused ≡ Reference
-   over random tasks, profiles, faults and lane masks; any edit here
-   or in Bank/Bitcell_array/Faults must keep that suite green. *)
+   bank's own object consumed in exactly the order back-to-back scalar
+   decisions of [Bitcell_array.aread] / [Bank.xreg_normalized] consume
+   it. The QCheck differential suites (test_kernels, test_batch) hold
+   Fused ≡ Reference over random tasks, destinations, profiles, faults,
+   lane masks and batch sizes; any edit here or in
+   Bank/Bitcell_array/Faults must keep them green. *)
 
 open Promise_isa
 module A = Promise_analog
@@ -70,45 +71,59 @@ type fused = {
   x_period : int;
   adc_gain : float;
   adc_offset : float;
-  (* preallocated scratch: the zero-allocation working set *)
+}
+
+(* The sampler's working set, one per domain and shared by every
+   kernel sampled on it (a call never outlives its own use of it), so
+   memory stays bounded by the largest window however many kernels are
+   cached. Grown on demand, never shrunk: zero allocations in the
+   steady state. *)
+type scratch = {
+  noise : A.Rng.ba;  (* one iteration's 128 standard normals *)
+  (* per-iteration slots of 128 lanes: *)
+  mutable wt : float array;  (* aREAD value, stuck/dead override folded in *)
+  mutable st : float array;  (* its noise sigma (0 on overridden lanes) *)
+  mutable xt : float array;  (* normalized X *)
   wbuf : float array;  (* class-1 / ASD value per lane *)
-  gbuf : float array;  (* standard normals, one batch draw per iteration *)
-  xbuf : float array;  (* normalized X operand per lane *)
   sbuf : float array;  (* [0] = charge-share accumulator *)
-  out1 : float array;  (* [0] = sample, for the [step] wrapper *)
 }
 
-(* Per-kernel batch scratch (lazy): the structure-of-arrays working set
-   of [sample_batch_into]. [wt]/[st]/[xt] are per-(iteration × lane)
-   tables hoisted once per batch call — the aREAD transfer value, its
-   noise sigma and the normalized X operand are all invariant across
-   the decisions of a batch (no cross-decision state feedback on the
-   batched path) — and [nplane] is the bigarray noise plane one
-   [Rng.gaussian_fill_ba] call fills per tile of decisions. *)
-type bstate = {
-  mutable nplane : A.Rng.ba;
-  mutable wt : float array;  (* shaped value per (iteration, lane) *)
-  mutable st : float array;  (* noise sigma per (iteration, lane) *)
-  mutable xt : float array;  (* normalized X per (iteration, lane) *)
-  mutable table_iters : int;  (* iterations the tables have room for *)
-}
-
-type impl = Fused of fused | Passthrough
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        noise =
+          Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout Params.lanes;
+        wt = [||];
+        st = [||];
+        xt = [||];
+        wbuf = Array.make Params.lanes 0.0;
+        sbuf = Array.make 1 0.0;
+      })
 
 type t = {
   spec : spec;
   bank : Bank.t;
   flip_stream : A.Rng.t option;  (* object captured at specialization *)
-  impl : impl;
-  bstate : bstate;
+  fused : fused;
 }
 
-let is_fused t = match t.impl with Fused _ -> true | Passthrough -> false
+let fusable (task : Task.t) =
+  (match task.class1 with
+  | Opcode.C1_aread | Opcode.C1_asubt | Opcode.C1_aadd -> true
+  | Opcode.C1_none | Opcode.C1_write | Opcode.C1_read -> false)
+  && task.class2.Opcode.avd && Task.uses_adc task
 
-let empty_ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
-
-let fresh_bstate () =
-  { nplane = empty_ba; wt = [||]; st = [||]; xt = [||]; table_iters = 0 }
+let reads_x (task : Task.t) =
+  (match task.class1 with
+  | Opcode.C1_asubt | Opcode.C1_aadd -> true
+  | Opcode.C1_none | Opcode.C1_write | Opcode.C1_read | Opcode.C1_aread ->
+      false)
+  ||
+  match task.class2.Opcode.asd with
+  | Opcode.Asd_sign_mult | Opcode.Asd_unsign_mult -> true
+  | Opcode.Asd_none | Opcode.Asd_compare | Opcode.Asd_absolute
+  | Opcode.Asd_square ->
+      false
 
 let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes ~adc_gain =
   if active_lanes < 1 || active_lanes > Params.lanes then
@@ -117,14 +132,8 @@ let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes ~adc_gain =
   let faults = Bank.faults bank in
   let spec = { task; active_lanes; adc_gain; lane_mask; faults } in
   let flip_stream = Bank.transient_rng bank in
-  let fusable =
-    (match task.class1 with
-    | Opcode.C1_aread | Opcode.C1_asubt | Opcode.C1_aadd -> true
-    | Opcode.C1_none | Opcode.C1_write | Opcode.C1_read -> false)
-    && task.class2.Opcode.avd && Task.uses_adc task
-  in
-  if not fusable then
-    { spec; bank; flip_stream; impl = Passthrough; bstate = fresh_bstate () }
+  if not (fusable task) then
+    invalid_arg "Kernel.specialize: the task shape is not fusable"
   else begin
     let p = task.op_param in
     let profile = Bank.profile bank in
@@ -240,9 +249,7 @@ let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes ~adc_gain =
       spec;
       bank;
       flip_stream;
-      bstate = fresh_bstate ();
-      impl =
-        Fused
+      fused =
           {
             array = Bank.array bank;
             xreg = Bank.xreg bank;
@@ -267,11 +274,6 @@ let specialize ?lane_mask bank ~(task : Task.t) ~active_lanes ~adc_gain =
             x_period = p.Op_param.x_prd + 1;
             adc_gain;
             adc_offset = Faults.adc_offset faults;
-            wbuf = Array.make Params.lanes 0.0;
-            gbuf = Array.make Params.lanes 0.0;
-            xbuf = Array.make Params.lanes 0.0;
-            sbuf = Array.make 1 0.0;
-            out1 = Array.make 1 0.0;
           };
     }
   end
@@ -294,17 +296,68 @@ let matches t bank ~task ~active_lanes ~adc_gain ~lane_mask =
      | Some a, Some b -> a == b
      | None, Some _ | Some _, None -> false)
 
-(* Load the normalized X operand (with the transient single-bit-upset
-   model of [Bank.xreg_normalized] — same stream, same per-lane draw
-   order) into the [xbuf] scratch. *)
-let load_x f ~iteration =
+(* ------------------------------------------------------------------ *)
+(* The fused sampler                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [sample_batch_into] runs [batch] decisions over the iteration window
+   [first, first + iters) in one call.  BIT-IDENTITY: the samples
+   written are exactly what [batch] back-to-back scalar sweeps of those
+   iterations (decision-major) would produce, because
+
+   - the bank's noise stream is consumed in (decision, iteration, lane)
+     order, one 128-lane [Rng.gaussian_fill_ba] per iteration — the
+     scalar path's per-lane [gaussian_scaled] draws, without boxing a
+     float per lane (128-lane vectors are even, so the Box-Muller cache
+     is empty at every iteration boundary and fills compose);
+   - the per-iteration operands ([load_w], [load_x]) hold the same
+     float values the scalar path recomputes per decision, and every
+     arithmetic step applies the scalar path's operations in the
+     scalar path's order;
+   - X is read in the scalar path's lane order, with the transient
+     upset model of [Bank.xreg_normalized] when the bank has an upset
+     stream (a data-dependent number of draws per read, so it is
+     re-read for every (decision, iteration)). Otherwise the operands
+     of window iteration [k] are read once per call, from the live
+     bit-cell and X-REG rows as the call finds them, and reused by
+     every decision. A caller whose emits feed an X-REG the task reads
+     therefore samples one iteration per call, so every staged emit
+     shows through to the next X read (the [Xreg.row_unsafe]
+     contract). *)
+
+(* Load the S1 operands of [iteration] into slot [at]: the pre-sampled
+   aREAD value and noise sigma of each lane's stored code, with the
+   post-noise stuck/dead override folded in as (value, sigma 0) —
+   v +. 0.0 *. g is bitwise v for every finite g. *)
+let load_w f (b : scratch) ~iteration ~at ~noisy =
+  let row =
+    Bitcell_array.row_unsafe f.array
+      ~word_row:((f.w_addr + iteration) mod Params.word_rows)
+  in
+  for lane = 0 to Params.lanes - 1 do
+    if f.override_any && Array.unsafe_get f.override_on lane then begin
+      Array.unsafe_set b.wt (at + lane) (Array.unsafe_get f.override_val lane);
+      if noisy then Array.unsafe_set b.st (at + lane) 0.0
+    end
+    else begin
+      let idx = Array.unsafe_get row lane + 128 in
+      Array.unsafe_set b.wt (at + lane) (Array.unsafe_get f.shaped idx);
+      if noisy then
+        Array.unsafe_set b.st (at + lane) (Array.unsafe_get f.sigma idx)
+    end
+  done
+
+(* Load the normalized X operand of [iteration] into
+   [xt.(at .. at + 127)], with the transient single-bit-upset model of
+   [Bank.xreg_normalized] — same stream, same per-lane draw order. *)
+let load_x f (xt : float array) ~iteration ~at =
   let xrow =
     Xreg.row_unsafe f.xreg ~index:((f.x_base + iteration) mod f.x_period)
   in
   match f.flip_rng with
   | None ->
       for lane = 0 to Params.lanes - 1 do
-        Array.unsafe_set f.xbuf lane
+        Array.unsafe_set xt (at + lane)
           (float_of_int (Array.unsafe_get xrow lane) /. 128.0)
       done
   | Some rng ->
@@ -319,7 +372,7 @@ let load_x f ~iteration =
           end
           else c
         in
-        Array.unsafe_set f.xbuf lane (float_of_int c /. 128.0)
+        Array.unsafe_set xt (at + lane) (float_of_int c /. 128.0)
       done
 
 (* NOTE on the inlined interpolation in the ASD loops below: it is
@@ -330,178 +383,195 @@ let load_x f ~iteration =
    for every non-NaN input the result is bitwise the same, and the
    analog chain can produce no NaN. *)
 
-let sample_into t ~iteration ~dst ~at =
-  match t.impl with
-  | Passthrough -> invalid_arg "Kernel.sample_into: kernel is not fused"
-  | Fused f ->
-      let lanes = Params.lanes in
-      let word_row = (f.w_addr + iteration) mod Params.word_rows in
-      let row = Bitcell_array.row_unsafe f.array ~word_row in
-      (* S1 aREAD: per-code table + the bank's own noise stream, drawn
-         for all 128 lanes in lane order exactly like the scalar path *)
+let sample_batch_into t ~first ~iters ~batch ~(dst : A.Rng.ba) ~off =
+  if batch < 1 then invalid_arg "Kernel.sample_batch_into: batch must be >= 1";
+  if first < 0 || iters < 1 then
+    invalid_arg "Kernel.sample_batch_into: empty or negative window";
+  let f = t.fused in
+  if off < 0 || off + (batch * iters) > Bigarray.Array1.dim dst then
+    invalid_arg "Kernel.sample_batch_into: dst slice out of range";
+  let lanes = Params.lanes in
+  let b = Domain.DLS.get scratch_key in
+  let uses_x = reads_x t.spec.task in
+  (* The decisions of one call share each window iteration's
+     invariants: its S1 operands and its X are read into slot k at
+     the first decision and reused by the later ones (a single
+     decision uses slot 0). X carrying transient upsets draws a
+     data-dependent number of variates, so it is re-read for every
+     (decision, iteration). *)
+  let reuse = batch > 1 in
+  let reuse_x = reuse && Option.is_none f.flip_rng in
+  let w_len = if reuse then iters * lanes else lanes in
+  let x_len = if reuse_x then iters * lanes else lanes in
+  if Array.length b.wt < w_len then begin
+    b.wt <- Array.make w_len 0.0;
+    b.st <- Array.make w_len 0.0
+  end;
+  if uses_x && Array.length b.xt < x_len then b.xt <- Array.make x_len 0.0;
+  let wt = b.wt and st = b.st and xt = b.xt and np = b.noise in
+  let e = f.asd_tbl in
+  let en1 = Array.length e - 1 in
+  let fen1 = float_of_int en1 in
+  let wbuf = b.wbuf and sbuf = b.sbuf in
+  let noisy = Option.is_some f.noise_rng in
+  let has_leak = f.has_leak and leak = f.leak in
+  for dec = 0 to batch - 1 do
+    for k = 0 to iters - 1 do
+      let wo = if reuse then k * lanes else 0 in
+      let xo = if reuse_x then k * lanes else 0 in
+      if dec = 0 || not reuse then
+        load_w f b ~iteration:(first + k) ~at:wo ~noisy;
+      if uses_x && (dec = 0 || not reuse_x) then
+        load_x f xt ~iteration:(first + k) ~at:xo;
+      (* pass 1 — S1 aREAD with the bank's own noise, drawn for all
+         128 lanes in lane order (the scaling is [gaussian_scaled]'s
+         own [mu +. sigma *. g]), the override [folded into the
+         slots], the class-1 combine with X, idle-slot leakage *)
       (match f.noise_rng with
-      | None ->
-          for lane = 0 to lanes - 1 do
-            let code = Array.unsafe_get row lane in
-            Array.unsafe_set f.wbuf lane
-              (Array.unsafe_get f.shaped (code + 128))
-          done
-      | Some rng ->
-          (* one batched draw: consumes the stream exactly like a
-             per-lane [gaussian_scaled] loop, without boxing a float
-             per lane (the scaling below is [gaussian_scaled]'s own
-             [mu +. sigma *. g], applied after the fact) *)
-          A.Rng.gaussian_fill rng f.gbuf;
-          for lane = 0 to lanes - 1 do
-            let idx = Array.unsafe_get row lane + 128 in
-            Array.unsafe_set f.wbuf lane
-              (Array.unsafe_get f.shaped idx
-              +. (Array.unsafe_get f.sigma idx *. Array.unsafe_get f.gbuf lane))
-          done);
-      (* stuck/dead lanes override after noise, like [Faults.apply_stuck] *)
-      if f.override_any then
-        for lane = 0 to lanes - 1 do
-          if Array.unsafe_get f.override_on lane then
-            Array.unsafe_set f.wbuf lane (Array.unsafe_get f.override_val lane)
-        done;
-      (* class-1 combine with X, then idle-slot leakage *)
+      | Some rng -> A.Rng.gaussian_fill_ba rng np ~len:lanes
+      | None -> ());
       (match f.c1 with
       | K_aread ->
-          if f.has_leak then
+          if noisy then
             for lane = 0 to lanes - 1 do
-              Array.unsafe_set f.wbuf lane
-                (Array.unsafe_get f.wbuf lane *. f.leak)
+              let v =
+                Array.unsafe_get wt (wo + lane)
+                +. (Array.unsafe_get st (wo + lane) *. np.{lane})
+              in
+              Array.unsafe_set wbuf lane (if has_leak then v *. leak else v)
             done
+          else if has_leak then
+            for lane = 0 to lanes - 1 do
+              Array.unsafe_set wbuf lane (Array.unsafe_get wt (wo + lane) *. leak)
+            done
+          else Array.blit wt wo wbuf 0 lanes
       | K_asubt ->
-          load_x f ~iteration;
           for lane = 0 to lanes - 1 do
-            let v =
-              (Array.unsafe_get f.wbuf lane -. Array.unsafe_get f.xbuf lane)
-              /. 2.0
+            let w =
+              if noisy then
+                Array.unsafe_get wt (wo + lane)
+                +. (Array.unsafe_get st (wo + lane) *. np.{lane})
+              else Array.unsafe_get wt (wo + lane)
             in
-            Array.unsafe_set f.wbuf lane
-              (if f.has_leak then v *. f.leak else v)
+            let v = (w -. Array.unsafe_get xt (xo + lane)) /. 2.0 in
+            Array.unsafe_set wbuf lane (if has_leak then v *. leak else v)
           done
       | K_aadd ->
-          load_x f ~iteration;
           for lane = 0 to lanes - 1 do
-            let v =
-              (Array.unsafe_get f.wbuf lane +. Array.unsafe_get f.xbuf lane)
-              /. 2.0
+            let w =
+              if noisy then
+                Array.unsafe_get wt (wo + lane)
+                +. (Array.unsafe_get st (wo + lane) *. np.{lane})
+              else Array.unsafe_get wt (wo + lane)
             in
-            Array.unsafe_set f.wbuf lane
-              (if f.has_leak then v *. f.leak else v)
+            let v = (w +. Array.unsafe_get xt (xo + lane)) /. 2.0 in
+            Array.unsafe_set wbuf lane (if has_leak then v *. leak else v)
           done);
-      (* S2 aSD + S3 charge-share accumulation, fused per lane; the sum
-         runs over the membership lanes in ascending order — the same
-         subset and order as [Bank.charge_share] *)
-      Array.unsafe_set f.sbuf 0 0.0;
-      let e = f.asd_tbl in
-      let en1 = Array.length e - 1 in
+      (* pass 2 — S2 aSD + S3 charge share, fused per lane; the sum
+         runs over the membership lanes in ascending order — the
+         same subset and order as [Bank.charge_share] *)
+      Array.unsafe_set sbuf 0 0.0;
       (match f.asd with
       | S_none ->
           for lane = 0 to lanes - 1 do
             if Array.unsafe_get f.acc_on lane then
-              Array.unsafe_set f.sbuf 0
-                (Array.unsafe_get f.sbuf 0 +. Array.unsafe_get f.wbuf lane)
+              Array.unsafe_set sbuf 0
+                (Array.unsafe_get sbuf 0 +. Array.unsafe_get wbuf lane)
           done
       | S_compare ->
           for lane = 0 to lanes - 1 do
             if Array.unsafe_get f.acc_on lane then begin
-              let v = Array.unsafe_get f.wbuf lane in
+              let v = Array.unsafe_get wbuf lane in
               let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
+              let pos = (v +. 1.0) /. 2.0 *. fen1 in
+              let i0 = int_of_float (Float.floor pos) in
               let u =
-                if i >= en1 then Array.unsafe_get e en1
+                if i0 >= en1 then Array.unsafe_get e en1
                 else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
+                  let frac = pos -. float_of_int i0 in
+                  ((1.0 -. frac) *. Array.unsafe_get e i0)
+                  +. (frac *. Array.unsafe_get e (i0 + 1))
               in
               let s = if u >= 0.0 then 1.0 else 0.0 in
-              Array.unsafe_set f.sbuf 0 (Array.unsafe_get f.sbuf 0 +. s)
+              Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. s)
             end
           done
       | S_absolute ->
           for lane = 0 to lanes - 1 do
             if Array.unsafe_get f.acc_on lane then begin
-              let v = Array.unsafe_get f.wbuf lane in
+              let v = Array.unsafe_get wbuf lane in
               let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
+              let pos = (v +. 1.0) /. 2.0 *. fen1 in
+              let i0 = int_of_float (Float.floor pos) in
               let u =
-                if i >= en1 then Array.unsafe_get e en1
+                if i0 >= en1 then Array.unsafe_get e en1
                 else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
+                  let frac = pos -. float_of_int i0 in
+                  ((1.0 -. frac) *. Array.unsafe_get e i0)
+                  +. (frac *. Array.unsafe_get e (i0 + 1))
               in
-              Array.unsafe_set f.sbuf 0
-                (Array.unsafe_get f.sbuf 0 +. Float.abs u)
+              Array.unsafe_set sbuf 0
+                (Array.unsafe_get sbuf 0 +. Float.abs u)
             end
           done
       | S_square ->
           for lane = 0 to lanes - 1 do
             if Array.unsafe_get f.acc_on lane then begin
-              let v = Array.unsafe_get f.wbuf lane in
+              let v = Array.unsafe_get wbuf lane in
               let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
+              let pos = (v +. 1.0) /. 2.0 *. fen1 in
+              let i0 = int_of_float (Float.floor pos) in
               let u =
-                if i >= en1 then Array.unsafe_get e en1
+                if i0 >= en1 then Array.unsafe_get e en1
                 else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
+                  let frac = pos -. float_of_int i0 in
+                  ((1.0 -. frac) *. Array.unsafe_get e i0)
+                  +. (frac *. Array.unsafe_get e (i0 + 1))
               in
-              Array.unsafe_set f.sbuf 0
-                (Array.unsafe_get f.sbuf 0 +. (u *. u))
+              Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. (u *. u))
             end
           done
       | S_sign_mult ->
-          load_x f ~iteration;
           for lane = 0 to lanes - 1 do
             if Array.unsafe_get f.acc_on lane then begin
               let v =
-                Array.unsafe_get f.wbuf lane *. Array.unsafe_get f.xbuf lane
+                Array.unsafe_get wbuf lane *. Array.unsafe_get xt (xo + lane)
               in
               let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
+              let pos = (v +. 1.0) /. 2.0 *. fen1 in
+              let i0 = int_of_float (Float.floor pos) in
               let u =
-                if i >= en1 then Array.unsafe_get e en1
+                if i0 >= en1 then Array.unsafe_get e en1
                 else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
+                  let frac = pos -. float_of_int i0 in
+                  ((1.0 -. frac) *. Array.unsafe_get e i0)
+                  +. (frac *. Array.unsafe_get e (i0 + 1))
               in
-              Array.unsafe_set f.sbuf 0 (Array.unsafe_get f.sbuf 0 +. u)
+              Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. u)
             end
           done
       | S_unsign_mult ->
-          load_x f ~iteration;
           for lane = 0 to lanes - 1 do
             if Array.unsafe_get f.acc_on lane then begin
               let v =
-                Float.abs (Array.unsafe_get f.wbuf lane)
-                *. Float.abs (Array.unsafe_get f.xbuf lane)
+                Float.abs (Array.unsafe_get wbuf lane)
+                *. Float.abs (Array.unsafe_get xt (xo + lane))
               in
               let v = if v < -1.0 then -1.0 else if v > 1.0 then 1.0 else v in
-              let pos = (v +. 1.0) /. 2.0 *. float_of_int en1 in
-              let i = int_of_float (Float.floor pos) in
+              let pos = (v +. 1.0) /. 2.0 *. fen1 in
+              let i0 = int_of_float (Float.floor pos) in
               let u =
-                if i >= en1 then Array.unsafe_get e en1
+                if i0 >= en1 then Array.unsafe_get e en1
                 else
-                  let frac = pos -. float_of_int i in
-                  ((1.0 -. frac) *. Array.unsafe_get e i)
-                  +. (frac *. Array.unsafe_get e (i + 1))
+                  let frac = pos -. float_of_int i0 in
+                  ((1.0 -. frac) *. Array.unsafe_get e i0)
+                  +. (frac *. Array.unsafe_get e (i0 + 1))
               in
-              Array.unsafe_set f.sbuf 0 (Array.unsafe_get f.sbuf 0 +. u)
+              Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. u)
             end
           done);
       let cs =
-        if f.acc_empty then 0.0 else Array.unsafe_get f.sbuf 0 /. f.divisor
+        if f.acc_empty then 0.0 else Array.unsafe_get sbuf 0 /. f.divisor
       in
       (* ADC: [Adc.convert] inlined ([quantize] then [dequantize]) *)
       let analog = (f.adc_gain *. cs) +. f.adc_offset in
@@ -513,345 +583,7 @@ let sample_into t ~iteration ~dst ~at =
         else if code > A.Adc.levels - 1 then A.Adc.levels - 1
         else code
       in
-      dst.(at) <- float_of_int (code - half) *. lsb /. f.adc_gain
-
-let step t ~iteration =
-  match t.impl with
-  | Passthrough ->
-      Bank.run_iteration ?lane_mask:t.spec.lane_mask t.bank ~task:t.spec.task
-        ~iteration ~active_lanes:t.spec.active_lanes
-        ~adc_gain:t.spec.adc_gain
-  | Fused f ->
-      sample_into t ~iteration ~dst:f.out1 ~at:0;
-      Bank.Sample f.out1.(0)
-
-(* ------------------------------------------------------------------ *)
-(* Batched sampling                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* [sample_batch_into] processes a whole batch of decisions in one
-   pass.  BIT-IDENTITY: the samples written are exactly what [batch]
-   back-to-back [sample_into] sweeps (iteration 0..k per decision,
-   decision-major) would produce, because
-
-   - the bank's noise stream is consumed decision-major and contiguously
-     either way: the sequential path draws one 128-lane vector per
-     iteration, so N sequential decisions consume N·iters·128 draws in
-     (decision, iteration, lane) order — exactly the order one
-     [Rng.gaussian_fill_ba] call lays the batched noise plane out in
-     (128-lane vectors are even, so the Box-Muller cache is empty at
-     every decision boundary and fills compose);
-   - the hoisted per-(iteration × lane) tables hold the same float
-     values the scalar path recomputes per decision ([wt] the
-     pre-sampled aREAD value with the stuck/dead override folded in as
-     (wt, st=0) — override_val +. 0.0·g ≡ override_val for every real
-     g — [st] the per-code sigma, [xt] the normalized X), and every
-     arithmetic step below applies the scalar path's operations in the
-     scalar path's order;
-   - transient X-REG upsets draw a data-dependent number of variates,
-     so a kernel with a flip stream takes the decision-major scalar
-     replay below instead of the table path — same draws, same order,
-     still one call.
-
-   The differential QCheck suite (test_batch) holds this function
-   ≡ N× sample_into ≡ N× the scalar Reference path over random tasks,
-   profiles, faults, masks and batch sizes. *)
-
-(* Max floats in the noise plane tile (128 KiB): big enough to amortize
-   the fill-call overhead, small enough to stay cache-resident. *)
-let tile_floats = 16384
-
-let prepare_tables (f : fused) (b : bstate) ~iters ~uses_x =
-  let lanes = Params.lanes in
-  if b.table_iters < iters then begin
-    b.wt <- Array.make (iters * lanes) 0.0;
-    b.st <- Array.make (iters * lanes) 0.0;
-    b.xt <- Array.make (iters * lanes) 0.0;
-    b.table_iters <- iters
-  end;
-  for i = 0 to iters - 1 do
-    let row =
-      Bitcell_array.row_unsafe f.array
-        ~word_row:((f.w_addr + i) mod Params.word_rows)
-    in
-    let base = i * lanes in
-    for lane = 0 to lanes - 1 do
-      if f.override_any && Array.unsafe_get f.override_on lane then begin
-        (* fold the post-noise stuck/dead override into the tables:
-           v +. 0.0 *. g is bitwise v for every finite g *)
-        Array.unsafe_set b.wt (base + lane)
-          (Array.unsafe_get f.override_val lane);
-        Array.unsafe_set b.st (base + lane) 0.0
-      end
-      else begin
-        let idx = Array.unsafe_get row lane + 128 in
-        Array.unsafe_set b.wt (base + lane) (Array.unsafe_get f.shaped idx);
-        Array.unsafe_set b.st (base + lane) (Array.unsafe_get f.sigma idx)
-      end
-    done;
-    if uses_x then begin
-      let xrow =
-        Xreg.row_unsafe f.xreg ~index:((f.x_base + i) mod f.x_period)
-      in
-      for lane = 0 to lanes - 1 do
-        Array.unsafe_set b.xt (base + lane)
-          (float_of_int (Array.unsafe_get xrow lane) /. 128.0)
-      done
-    end
+      dst.{off + (dec * iters) + k} <-
+        float_of_int (code - half) *. lsb /. f.adc_gain
+    done
   done
-
-let sample_batch_into t ~batch ~(dst : A.Rng.ba) ~off =
-  if batch < 1 then invalid_arg "Kernel.sample_batch_into: batch must be >= 1";
-  match t.impl with
-  | Passthrough -> invalid_arg "Kernel.sample_batch_into: kernel is not fused"
-  | Fused f -> (
-      let iters = Task.iterations t.spec.task in
-      if off < 0 || off + (batch * iters) > Bigarray.Array1.dim dst then
-        invalid_arg "Kernel.sample_batch_into: dst slice out of range";
-      match f.flip_rng with
-      | Some _ ->
-          (* transient upsets: data-dependent draw counts — scalar
-             fused replay, decision-major (bit-identical by
-             construction: it IS the sequential path) *)
-          for d = 0 to batch - 1 do
-            for i = 0 to iters - 1 do
-              sample_into t ~iteration:i ~dst:f.out1 ~at:0;
-              dst.{off + (d * iters) + i} <- f.out1.(0)
-            done
-          done
-      | None ->
-          let lanes = Params.lanes in
-          let b = t.bstate in
-          let uses_x =
-            match (f.c1, f.asd) with
-            | (K_asubt | K_aadd), _ -> true
-            | K_aread, (S_sign_mult | S_unsign_mult) -> true
-            | K_aread, _ -> false
-          in
-          prepare_tables f b ~iters ~uses_x;
-          let noisy = match f.noise_rng with Some _ -> true | None -> false in
-          let per_dec = iters * lanes in
-          let tile_d =
-            if not noisy then batch else max 1 (tile_floats / per_dec)
-          in
-          let plane_len = min batch tile_d * per_dec in
-          if noisy && Bigarray.Array1.dim b.nplane < plane_len then
-            b.nplane <-
-              Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
-                plane_len;
-          let wt = b.wt and st = b.st and xt = b.xt in
-          let np = b.nplane in
-          let e = f.asd_tbl in
-          let en1 = Array.length e - 1 in
-          let fen1 = float_of_int en1 in
-          let wbuf = f.wbuf and sbuf = f.sbuf in
-          let d = ref 0 in
-          while !d < batch do
-            let td = min tile_d (batch - !d) in
-            (match f.noise_rng with
-            | Some rng -> A.Rng.gaussian_fill_ba rng np ~len:(td * per_dec)
-            | None -> ());
-            for dr = 0 to td - 1 do
-              let dec = !d + dr in
-              for i = 0 to iters - 1 do
-                let tb = i * lanes in
-                let gb = dr * per_dec + tb in
-                (* pass 1 — class-1 value per lane (the scalar chain:
-                   noise-apply, override [folded into the tables],
-                   X-combine, idle leakage) *)
-                (match f.c1 with
-                | K_aread ->
-                    if noisy then
-                      if f.has_leak then
-                        for lane = 0 to lanes - 1 do
-                          Array.unsafe_set wbuf lane
-                            ((Array.unsafe_get wt (tb + lane)
-                             +. Array.unsafe_get st (tb + lane)
-                                *. np.{gb + lane})
-                            *. f.leak)
-                        done
-                      else
-                        for lane = 0 to lanes - 1 do
-                          Array.unsafe_set wbuf lane
-                            (Array.unsafe_get wt (tb + lane)
-                            +. Array.unsafe_get st (tb + lane)
-                               *. np.{gb + lane})
-                        done
-                    else if f.has_leak then
-                      for lane = 0 to lanes - 1 do
-                        Array.unsafe_set wbuf lane
-                          (Array.unsafe_get wt (tb + lane) *. f.leak)
-                      done
-                    else
-                      for lane = 0 to lanes - 1 do
-                        Array.unsafe_set wbuf lane
-                          (Array.unsafe_get wt (tb + lane))
-                      done
-                | K_asubt ->
-                    for lane = 0 to lanes - 1 do
-                      let w =
-                        if noisy then
-                          Array.unsafe_get wt (tb + lane)
-                          +. Array.unsafe_get st (tb + lane) *. np.{gb + lane}
-                        else Array.unsafe_get wt (tb + lane)
-                      in
-                      let v = (w -. Array.unsafe_get xt (tb + lane)) /. 2.0 in
-                      Array.unsafe_set wbuf lane
-                        (if f.has_leak then v *. f.leak else v)
-                    done
-                | K_aadd ->
-                    for lane = 0 to lanes - 1 do
-                      let w =
-                        if noisy then
-                          Array.unsafe_get wt (tb + lane)
-                          +. Array.unsafe_get st (tb + lane) *. np.{gb + lane}
-                        else Array.unsafe_get wt (tb + lane)
-                      in
-                      let v = (w +. Array.unsafe_get xt (tb + lane)) /. 2.0 in
-                      Array.unsafe_set wbuf lane
-                        (if f.has_leak then v *. f.leak else v)
-                    done);
-                (* pass 2 — aSD + charge share, the scalar loops with X
-                   read from the hoisted table *)
-                Array.unsafe_set sbuf 0 0.0;
-                (match f.asd with
-                | S_none ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then
-                        Array.unsafe_set sbuf 0
-                          (Array.unsafe_get sbuf 0
-                          +. Array.unsafe_get wbuf lane)
-                    done
-                | S_compare ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v = Array.unsafe_get wbuf lane in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        let s = if u >= 0.0 then 1.0 else 0.0 in
-                        Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. s)
-                      end
-                    done
-                | S_absolute ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v = Array.unsafe_get wbuf lane in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0
-                          (Array.unsafe_get sbuf 0 +. Float.abs u)
-                      end
-                    done
-                | S_square ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v = Array.unsafe_get wbuf lane in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0
-                          (Array.unsafe_get sbuf 0 +. (u *. u))
-                      end
-                    done
-                | S_sign_mult ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v =
-                          Array.unsafe_get wbuf lane
-                          *. Array.unsafe_get xt (tb + lane)
-                        in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. u)
-                      end
-                    done
-                | S_unsign_mult ->
-                    for lane = 0 to lanes - 1 do
-                      if Array.unsafe_get f.acc_on lane then begin
-                        let v =
-                          Float.abs (Array.unsafe_get wbuf lane)
-                          *. Float.abs (Array.unsafe_get xt (tb + lane))
-                        in
-                        let v =
-                          if v < -1.0 then -1.0
-                          else if v > 1.0 then 1.0
-                          else v
-                        in
-                        let pos = (v +. 1.0) /. 2.0 *. fen1 in
-                        let i0 = int_of_float (Float.floor pos) in
-                        let u =
-                          if i0 >= en1 then Array.unsafe_get e en1
-                          else
-                            let frac = pos -. float_of_int i0 in
-                            ((1.0 -. frac) *. Array.unsafe_get e i0)
-                            +. (frac *. Array.unsafe_get e (i0 + 1))
-                        in
-                        Array.unsafe_set sbuf 0 (Array.unsafe_get sbuf 0 +. u)
-                      end
-                    done);
-                let cs =
-                  if f.acc_empty then 0.0
-                  else Array.unsafe_get sbuf 0 /. f.divisor
-                in
-                let analog = (f.adc_gain *. cs) +. f.adc_offset in
-                let lsb = A.Adc.lsb in
-                let half = A.Adc.levels / 2 in
-                let code = int_of_float (Float.round (analog /. lsb)) + half in
-                let code =
-                  if code < 0 then 0
-                  else if code > A.Adc.levels - 1 then A.Adc.levels - 1
-                  else code
-                in
-                dst.{off + (dec * iters) + i} <-
-                  float_of_int (code - half) *. lsb /. f.adc_gain
-              done
-            done;
-            d := !d + td
-          done)

@@ -5,27 +5,34 @@
     ({!Bank.run_iteration}) recomputes every time: the effective swing
     and its noise factor, the transfer-curve selection (pre-sampled per
     8-bit code — exact, since the aREAD input domain is exactly the 256
-    codes), the idle-slot leakage exponential, stuck/dead lane
-    overrides, the charge-share membership set, and the ADC constants.
-    {!sample_into} then runs S1 aREAD → Class-1 combine → leakage → S2
-    aSD → S3 charge share → ADC as a single fused pass over
-    preallocated scratch buffers, allocating nothing on the minor heap
-    in the steady state — including the noise path, which draws its
-    whole lane vector through {!Promise_analog.Rng.gaussian_fill}
-    (the transient-upset path still draws per-lane and may allocate).
+    codes), the idle-leakage exponential, stuck/dead lane overrides, the
+    charge-share membership set, and the ADC constants.
+    {!sample_batch_into}, the one fused sampler, then runs S1 aREAD →
+    Class-1 combine → leakage → S2 aSD → S3 charge share → ADC for a
+    batch of decisions over an iteration window, into preallocated
+    scratch.
 
     Bit-identity contract: for every task, profile, fault set and lane
-    mask, a fused kernel produces bitwise the same {!Bank.step} as the
-    scalar path, consuming the bank's RNG streams draw-for-draw in the
-    same order. The differential QCheck suite (test_kernels) enforces
-    this; {!Machine.execute}'s [`Reference`] mode exists to run it and
-    to debug any divergence.
+    mask, the samples are bitwise the {!Bank.Sample} payloads the scalar
+    path produces, with the bank's RNG streams consumed draw-for-draw in
+    the same order. The differential QCheck suites (test_kernels,
+    test_batch) enforce this; {!Machine.execute}'s [`Reference`] mode
+    exists to run them and to debug any divergence.
 
-    Tasks whose shape is not the fused one (analog Class-1, aVD on,
-    Class-3 ADC) get a [Passthrough] kernel that simply delegates to
-    {!Bank.run_iteration}. *)
+    Only {!fusable} task shapes (analog Class-1, aVD on, Class-3 ADC)
+    compile; {!Machine} runs every other shape on the scalar path. *)
 
 type t
+
+(** [fusable task] — whether [task] has the fused shape (analog Class-1,
+    aVD on, Class-3 ADC): exactly the shapes on which every iteration
+    yields one {!Bank.Sample} per bank. *)
+val fusable : Promise_isa.Task.t -> bool
+
+(** [reads_x task] — whether [task] reads an X-REG operand: a Class-1
+    aSUBT/aADD, or a Class-2 multiply. It reads X-REG
+    [(base + i) mod (X_PRD + 1)] at iteration [i]. *)
+val reads_x : Promise_isa.Task.t -> bool
 
 (** [specialize ?lane_mask bank ~task ~active_lanes ~adc_gain] —
     compile a kernel for running [task] on [bank] with this launch
@@ -33,7 +40,7 @@ type t
     {!matches} reports whether a cached kernel is still valid. Raises
     [Invalid_argument] on the same bad arguments as
     {!Bank.run_iteration} ([active_lanes] outside [1, 128],
-    non-positive [adc_gain]). *)
+    non-positive [adc_gain]) and on a task that is not {!fusable}. *)
 val specialize :
   ?lane_mask:bool array ->
   Bank.t ->
@@ -41,10 +48,6 @@ val specialize :
   active_lanes:int ->
   adc_gain:float ->
   t
-
-(** [is_fused t] — [false] when the kernel is a passthrough to the
-    scalar path (non-fusable task shape). *)
-val is_fused : t -> bool
 
 (** [matches t bank ~task ~active_lanes ~adc_gain ~lane_mask] — whether
     [t] was specialized for exactly this bank object and launch shape,
@@ -60,40 +63,33 @@ val matches :
   lane_mask:bool array option ->
   bool
 
-(** [sample_into t ~iteration ~dst ~at] — run one fused iteration and
-    store the digitized per-bank partial (the {!Bank.Sample} payload)
-    into [dst.(at)]. Zero minor-heap allocations in the steady state.
-    Raises [Invalid_argument] if the kernel is not fused. *)
-val sample_into : t -> iteration:int -> dst:float array -> at:int -> unit
-
-(** [step t ~iteration] — run one iteration through the kernel,
-    returning the same {!Bank.step} the scalar path would. Fused
-    kernels wrap {!sample_into}; passthrough kernels delegate to
-    {!Bank.run_iteration}. *)
-val step : t -> iteration:int -> Bank.step
-
-(** [sample_batch_into t ~batch ~dst ~off] — run [batch] whole
-    decisions through the fused kernel in one pass, storing the sample
-    of decision [d], iteration [i] into [dst.{off + d*iterations + i}].
+(** [sample_batch_into t ~first ~iters ~batch ~dst ~off] — run [batch]
+    whole decisions over iterations [first .. first + iters - 1] through
+    the fused kernel, storing the sample of decision [d], window
+    iteration [k] into [dst.{off + d*iters + k}].
 
     Bit-identity: the samples (and the final RNG stream states) are
-    exactly what [batch] back-to-back per-decision sweeps of
-    {!sample_into} would produce. The batched path draws the noise for
-    a whole tile of decisions through one
-    {!Promise_analog.Rng.gaussian_fill_ba} call — bit-identical because
-    the sequential path consumes the stream in the same
-    (decision, iteration, lane) order and 128-lane vectors leave the
-    Box-Muller cache empty at every decision boundary — and reads the
-    per-(iteration × lane) invariants (aREAD value with stuck/dead
-    overrides folded in, noise sigma, normalized X) from
-    structure-of-arrays tables hoisted once per call. Kernels with a
-    transient-upset stream draw a data-dependent number of variates per
-    load and therefore take a decision-major scalar replay inside the
-    same call. Zero minor-heap allocations per decision in the steady
-    state (the tables and noise plane are grown once and reused).
+    exactly what [batch] back-to-back scalar sweeps of those iterations
+    would produce: the noise stream is drawn 128 lanes per iteration
+    through {!Promise_analog.Rng.gaussian_fill_ba}, in the scalar
+    (decision, iteration, lane) order, and a transient-upset stream is
+    drawn per X read in the scalar lane order. Otherwise the operands of
+    each window iteration (aREAD value and sigma with stuck/dead
+    overrides folded in, normalized X) are read once per call — from the
+    live rows as the call finds them — and reused by every decision, so
+    a caller whose emits feed an X-REG the task reads must sample one
+    iteration per call. Zero minor-heap allocations in the steady state: the working
+    set is one per domain, grown once and reused (upset draws may
+    allocate).
 
-    Raises [Invalid_argument] if the kernel is not fused, [batch < 1],
-    or the [dst] slice [off .. off + batch*iterations - 1] is out of
-    range. *)
+    Raises [Invalid_argument] if [batch < 1],
+    [first < 0], [iters < 1], or the [dst] slice
+    [off .. off + batch*iters - 1] is out of range. *)
 val sample_batch_into :
-  t -> batch:int -> dst:Promise_analog.Rng.ba -> off:int -> unit
+  t ->
+  first:int ->
+  iters:int ->
+  batch:int ->
+  dst:Promise_analog.Rng.ba ->
+  off:int ->
+  unit

@@ -3,6 +3,8 @@ module A = Promise_analog
 module E = Promise_core.Error
 module Pool = Promise_core.Pool
 
+let ( let* ) = Result.bind
+
 type config = {
   banks : int;
   profile : Bank.profile;
@@ -129,22 +131,6 @@ let group_banks t launch =
 
 let quantize_code = Promise_core.Quant.quantize8
 
-let route_emit banks launch (emit : Th_unit.emit) ~emitted ~acc_out ~xreg_out
-    ~wbuf =
-  match emit.Th_unit.des with
-  | Opcode.Des_output_buffer -> emitted := emit.Th_unit.value :: !emitted
-  | Opcode.Des_acc -> acc_out := emit.Th_unit.value :: !acc_out
-  | Opcode.Des_xreg ->
-      let code = quantize_code emit.Th_unit.value in
-      Array.iter
-        (fun b -> Xreg.stage_element (Bank.xreg b) ~index:launch.dest_xreg code)
-        banks;
-      xreg_out := (float_of_int code /. 128.0) :: !xreg_out
-  | Opcode.Des_write_buffer ->
-      let code = quantize_code emit.Th_unit.value in
-      Array.iter (fun b -> Bank.stage_write_code b code) banks;
-      wbuf := code :: !wbuf
-
 (* Excess pipeline stalls when some of the group's ADC units are dead:
    the discrete-event scheduler run with the reduced unit count, minus
    its healthy-baseline stalls. Zero-cost on a healthy group.
@@ -199,17 +185,6 @@ module For_tests = struct
         stall_memo_misses := 0)
 end
 
-(* A multi-bank task may fan its banks out across a pool only when the
-   emit destination never feeds back into bank state mid-task: X-REG
-   and write-buffer emits are staged into the banks while iterations
-   are still running, so those tasks stay on the sequential path. The
-   same property gates the batched fast path — it is what makes the
-   per-bank sample stream independent of decision order. *)
-let cross_bank_safe launch =
-  match launch.th.Th_unit.des with
-  | Opcode.Des_output_buffer | Opcode.Des_acc -> true
-  | Opcode.Des_xreg | Opcode.Des_write_buffer -> false
-
 (* One compiled kernel per bank of the group, revalidated against the
    per-bank cache (same bank + task + launch shape + faults → reuse, so
    replay workloads pay specialization once). *)
@@ -233,180 +208,348 @@ let cached_kernels ?lane_mask t launch banks =
           k)
     banks
 
-(* The [machine.execute] failpoint is consulted before any bank state
-   or RNG draw is touched — same contract as the real Fault-coded
-   checks (e.g. all-ADC-dead) — so a caller that retries after an
-   injected fault sees the machine exactly as if the faulted call
-   never happened. *)
-let injected_fault launch =
+(* ------------------------------------------------------------------ *)
+(* The prologue                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* A launch validated against the machine, with what all of its
+   decisions share: the bank group, the per-decision degraded-ADC
+   stalls and — in [Fused] mode, on the fused task shape — one compiled
+   kernel per bank ([None] selects the scalar oracle). *)
+type setup = {
+  launch : launch;
+  lane_mask : bool array option;
+  banks : Bank.t array;
+  stalls : int;
+  kernels : Kernel.t array option;
+}
+
+(* The [machine.execute] failpoint is consulted once per entry-point
+   call, before any bank state or RNG draw is touched — same contract
+   as the real Fault-coded checks (e.g. all-ADC-dead) — so a caller
+   that retries after an injected fault sees the machine exactly as if
+   the faulted call never happened. *)
+let injected_fault launches =
   match Promise_core.Failpoint.check "machine.execute" with
   | Some Promise_core.Failpoint.Fail ->
+      let group =
+        match launches with l :: _ -> l.bank_group | [] -> 0
+      in
       E.fail ~layer:"machine" ~code:E.Fault
-        ~context:
-          [ ("group", string_of_int launch.bank_group); ("injected", "true") ]
+        ~context:[ ("group", string_of_int group); ("injected", "true") ]
         "injected analog fault"
   | Some (Promise_core.Failpoint.Delay ns) ->
       Promise_core.Clock.sleep_ms (Int64.to_float ns /. 1e6);
       Ok ()
   | Some Promise_core.Failpoint.Interrupt | None -> Ok ()
 
-let execute ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch =
-  let ( let* ) = Result.bind in
+let setup_launch ?lane_mask ~kernel_mode t launch =
   let task = launch.task in
-  let kernel_mode =
-    match kernel_mode with Some m -> m | None -> default_kernel_mode ()
-  in
-  let* () = injected_fault launch in
   let* () =
     match Task.validate task with
     | Ok _ -> Ok ()
     | Error d -> Error (Promise_core.Diag.to_error ~layer:"machine" d)
   in
   let* banks = group_banks t launch in
-  let* avail_adc =
-    let avail =
-      Array.fold_left
-        (fun acc b -> min acc (Faults.adc_units_available (Bank.faults b)))
-        A.Adc.units_per_bank banks
+  let avail =
+    Array.fold_left
+      (fun acc b -> min acc (Faults.adc_units_available (Bank.faults b)))
+      A.Adc.units_per_bank banks
+  in
+  if Task.uses_adc task && avail < 1 then
+    E.fail ~layer:"machine" ~code:E.Fault
+      ~context:[ ("group", string_of_int launch.bank_group) ]
+      "all ADC units of the bank group are dead"
+  else
+    let kernels =
+      match kernel_mode with
+      | Fused when Kernel.fusable task ->
+          Some (cached_kernels ?lane_mask t launch banks)
+      | Fused | Reference -> None
     in
-    if Task.uses_adc task && avail < 1 then
-      E.fail ~layer:"machine" ~code:E.Fault
-        ~context:[ ("group", string_of_int launch.bank_group) ]
-        "all ADC units of the bank group are dead"
-    else Ok avail
+    Ok
+      {
+        launch;
+        lane_mask;
+        banks;
+        stalls = (if Task.uses_adc task then excess_adc_stalls task ~avail else 0);
+        kernels;
+      }
+
+(* Every entry point starts here: the failpoint once, then every launch
+   of the call validated and set up before the first one runs. *)
+let prologue ?lane_mask ?kernel_mode t launches =
+  let kernel_mode =
+    match kernel_mode with Some m -> m | None -> default_kernel_mode ()
   in
-  let n_banks_used = Array.length banks in
-  let th = Th_unit.create launch.th in
-  let emitted = ref [] and acc_out = ref [] and wbuf = ref [] in
-  let xreg_out = ref [] in
-  let digital = ref [] in
-  let adc_conversions = ref 0 in
-  let iterations = Task.iterations task in
-  let kernels =
-    match kernel_mode with
-    | Reference -> None
-    | Fused -> Some (cached_kernels ?lane_mask t launch banks)
+  let* () = injected_fault launches in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | l :: rest ->
+        let* s = setup_launch ?lane_mask ~kernel_mode t l in
+        go (s :: acc) rest
   in
-  let step_bank bi b ~iteration =
-    match kernels with
-    | Some ks -> Kernel.step ks.(bi) ~iteration
-    | None ->
-        Bank.run_iteration ?lane_mask b ~task ~iteration
-          ~active_lanes:launch.active_lanes ~adc_gain:launch.adc_gain
+  go [] launches
+
+(* ------------------------------------------------------------------ *)
+(* Sampling                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* An X-REG-destination launch whose [dest_xreg] lies inside the X read
+   window of a task that reads X: an emit staged mid-task changes the X
+   a later iteration (or decision) reads, so the banks advance one
+   iteration at a time in lockstep with the TH. Every other launch's
+   emits (output buffer, ACC, write buffer, an X-REG the task does not
+   read) never reach the sampling, so each bank samples its whole batch
+   first — bank-major, across a pool — and the TH reduces after. *)
+let feeds_back launch =
+  Kernel.reads_x launch.task
+  && launch.dest_xreg <= launch.task.Task.op_param.Op_param.x_prd
+  &&
+  match launch.th.Th_unit.des with
+  | Opcode.Des_xreg -> true
+  | Opcode.Des_output_buffer | Opcode.Des_acc | Opcode.Des_write_buffer ->
+      false
+
+let batch_plane t ~need =
+  if Bigarray.Array1.dim t.bplane < need then
+    t.bplane <- Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout need;
+  t.bplane
+
+(* The bank-major sample plane: bank [bi]'s samples of decisions
+   [0, batch) over iterations [first, first + iters) land at
+   [bi*batch*iters + d*iters + k]. Bank-major order keeps each bank's
+   private RNG streams consumed exactly as sequential execution would
+   (banks never read each other's state), and lets a pool fan the banks
+   out with one synchronization per call. *)
+let fill_plane ~pool kernels (plane : A.Rng.ba) ~first ~iters ~batch =
+  let n = Array.length kernels in
+  let per = batch * iters in
+  let fill bi =
+    Kernel.sample_batch_into kernels.(bi) ~first ~iters ~batch ~dst:plane
+      ~off:(bi * per)
   in
-  (* Parallel path: each bank runs all of its iterations on one domain
-     (bank-major), which preserves the bank's private RNG draw order
-     exactly as the sequential iteration-major loop would — banks never
-     read each other's state, so the precomputed steps are bit-identical
-     and the sequential replay below reduces them in canonical order. *)
+  if Pool.is_parallel pool && n > 1 then
+    ignore (Pool.map_array pool fill (Array.init n Fun.id))
+  else
+    for bi = 0 to n - 1 do
+      fill bi
+    done
+
+(* ------------------------------------------------------------------ *)
+(* The TH reduction                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One decision in flight: its TH and its routed emissions, newest
+   first. *)
+type decision = {
+  th : Th_unit.t;
+  mutable emitted : float list;
+  mutable acc_out : float list;
+  mutable xreg_out : float list;
+  mutable wbuf : int list;
+  mutable digital : int array list;
+  mutable adc_conversions : int;  (* summed over the group's banks *)
+}
+
+let new_decision (launch : launch) =
+  {
+    th = Th_unit.create launch.th;
+    emitted = [];
+    acc_out = [];
+    xreg_out = [];
+    wbuf = [];
+    digital = [];
+    adc_conversions = 0;
+  }
+
+let route s d (emit : Th_unit.emit) =
+  match emit.Th_unit.des with
+  | Opcode.Des_output_buffer -> d.emitted <- emit.Th_unit.value :: d.emitted
+  | Opcode.Des_acc -> d.acc_out <- emit.Th_unit.value :: d.acc_out
+  | Opcode.Des_xreg ->
+      let code = quantize_code emit.Th_unit.value in
+      Array.iter
+        (fun b ->
+          Xreg.stage_element (Bank.xreg b) ~index:s.launch.dest_xreg code)
+        s.banks;
+      d.xreg_out <- (float_of_int code /. 128.0) :: d.xreg_out
+  | Opcode.Des_write_buffer ->
+      let code = quantize_code emit.Th_unit.value in
+      Array.iter (fun b -> Bank.stage_write_code b code) s.banks;
+      d.wbuf <- code :: d.wbuf
+
+(* Cross-bank combine of the group's partials, then the TH. *)
+let push s d partials =
+  match Th_unit.push d.th (Crossbank.combine partials) with
+  | Some emit -> route s d emit
+  | None -> ()
+
+let finish s d =
+  match Th_unit.finish d.th with Some emit -> route s d emit | None -> ()
+
+(* One plane column (a decision's iteration across the group's banks)
+   through the cross-bank rail and the TH. *)
+let push_column s d partials (plane : A.Rng.ba) ~per ~at =
+  let n = Array.length partials in
+  for bi = 0 to n - 1 do
+    partials.(bi) <- plane.{(bi * per) + at}
+  done;
+  d.adc_conversions <- d.adc_conversions + n;
+  push s d partials
+
+(* The scalar oracle — [Reference] mode and non-fusable task shapes:
+   [Bank.run_iteration] per bank and iteration. With a parallel pool
+   and no feedback, each bank runs all of its iterations on one domain
+   first (bank-major), which consumes its private RNG streams exactly
+   as the iteration-major loop would. *)
+let scalar_decision ~pool s d partials =
+  let launch = s.launch and task = s.launch.task in
+  let n = Array.length s.banks in
+  let iters = Task.iterations task in
+  let step b ~iteration =
+    Bank.run_iteration ?lane_mask:s.lane_mask b ~task ~iteration
+      ~active_lanes:launch.active_lanes ~adc_gain:launch.adc_gain
+  in
   let precomputed =
-    if
-      Pool.is_parallel pool && n_banks_used > 1 && iterations > 0
-      && cross_bank_safe launch
-    then
+    if Pool.is_parallel pool && n > 1 && not (feeds_back launch) then
       Some
         (Pool.map_array pool
-           (fun bi ->
-             let b = banks.(bi) in
-             let steps = Array.make iterations Bank.Idle in
-             for iteration = 0 to iterations - 1 do
-               steps.(iteration) <- step_bank bi b ~iteration
-             done;
-             steps)
-           (Array.init n_banks_used (fun i -> i)))
+           (fun b -> Array.init iters (fun iteration -> step b ~iteration))
+           s.banks)
     else None
   in
-  (match (precomputed, kernels) with
-  | None, Some ks when Array.for_all Kernel.is_fused ks ->
-      (* fused fast loop: the task shape guarantees every bank yields a
-         Sample every iteration, so the per-iteration scaffolding of the
-         general loop (fresh partials array, step dispatch, sample
-         detection) collapses to kernel calls into one hoisted buffer *)
-      let partials = Array.make n_banks_used 0.0 in
-      for iteration = 0 to iterations - 1 do
-        for bi = 0 to n_banks_used - 1 do
-          Kernel.sample_into ks.(bi) ~iteration ~dst:partials ~at:bi
-        done;
-        adc_conversions := !adc_conversions + n_banks_used;
-        let combined = Crossbank.combine partials in
-        match Th_unit.push th combined with
-        | Some emit ->
-            route_emit banks launch emit ~emitted ~acc_out ~xreg_out ~wbuf
-        | None -> ()
-      done
-  | _ ->
-      for iteration = 0 to iterations - 1 do
-        let partials = Array.make n_banks_used 0.0 in
-        let got_sample = ref false in
-        Array.iteri
-          (fun bi b ->
-            match
-              match precomputed with
-              | Some steps -> steps.(bi).(iteration)
-              | None -> step_bank bi b ~iteration
-            with
-            | Bank.Sample s ->
-                partials.(bi) <- s;
-                got_sample := true;
-                incr adc_conversions
-            | Bank.Digital_vector v ->
-                if bi = 0 then digital := v :: !digital;
-                if Task.uses_adc task then
-                  adc_conversions := !adc_conversions + launch.active_lanes
-            | Bank.Analog_vector _ | Bank.Idle -> ())
-          banks;
-        if !got_sample then
-          let combined = Crossbank.combine partials in
-          match Th_unit.push th combined with
-          | Some emit ->
-              route_emit banks launch emit ~emitted ~acc_out ~xreg_out ~wbuf
-          | None -> ()
-      done);
-  (match Th_unit.finish th with
-  | Some emit -> route_emit banks launch emit ~emitted ~acc_out ~xreg_out ~wbuf
-  | None -> ());
-  let stall_cycles =
-    if Task.uses_adc task then excess_adc_stalls task ~avail:avail_adc else 0
-  in
-  let record =
-    {
-      Trace.task = task;
-      iterations;
-      banks = n_banks_used;
-      tp = Timing.task_tp task;
-      fill_cycles = Timing.fill_cycles task;
-      cycles = Timing.task_cycles task + stall_cycles;
-      adc_conversions = !adc_conversions / max 1 n_banks_used;
-      crossbank_transfers =
-        Crossbank.transfers_per_iteration ~banks:n_banks_used * iterations;
-      th_ops = Th_unit.ops_executed th;
-      stall_cycles;
-    }
-  in
-  Trace.record t.trace record;
-  Ok
-    {
-      emitted = List.rev !emitted;
-      acc_out = List.rev !acc_out;
-      xreg_out = List.rev !xreg_out;
-      write_buffer = List.rev !wbuf;
-      argext = Th_unit.argext th;
-      digital = List.rev !digital;
-      record;
-    }
+  for iteration = 0 to iters - 1 do
+    Array.fill partials 0 n 0.0;
+    let got_sample = ref false in
+    Array.iteri
+      (fun bi b ->
+        match
+          match precomputed with
+          | Some steps -> steps.(bi).(iteration)
+          | None -> step b ~iteration
+        with
+        | Bank.Sample v ->
+            partials.(bi) <- v;
+            got_sample := true;
+            d.adc_conversions <- d.adc_conversions + 1
+        | Bank.Digital_vector v ->
+            if bi = 0 then d.digital <- v :: d.digital;
+            if Task.uses_adc task then
+              d.adc_conversions <- d.adc_conversions + launch.active_lanes
+        | Bank.Analog_vector _ | Bank.Idle -> ())
+      s.banks;
+    if !got_sample then push s d partials
+  done
+
+(* [batch] decisions of one launch, each TH-reduced and finished in
+   decision order — so X-REG and write-buffer staging land in exactly
+   the order [batch] back-to-back single decisions stage them. *)
+let run_decisions ~pool t s ~batch =
+  let iters = Task.iterations s.launch.task in
+  let partials = Array.make (Array.length s.banks) 0.0 in
+  let ds = Array.init batch (fun _ -> new_decision s.launch) in
+  (match s.kernels with
+  | None ->
+      Array.iter
+        (fun d ->
+          scalar_decision ~pool s d partials;
+          finish s d)
+        ds
+  | Some ks when feeds_back s.launch ->
+      let plane = batch_plane t ~need:(Array.length ks) in
+      Array.iter
+        (fun d ->
+          for i = 0 to iters - 1 do
+            fill_plane ~pool:Pool.sequential ks plane ~first:i ~iters:1
+              ~batch:1;
+            push_column s d partials plane ~per:1 ~at:0
+          done;
+          finish s d)
+        ds
+  | Some ks ->
+      let per = batch * iters in
+      let plane = batch_plane t ~need:(Array.length ks * per) in
+      fill_plane ~pool ks plane ~first:0 ~iters ~batch;
+      Array.iteri
+        (fun di d ->
+          for i = 0 to iters - 1 do
+            push_column s d partials plane ~per ~at:((di * iters) + i)
+          done;
+          finish s d)
+        ds);
+  ds
+
+(* Run [batch] decisions and append one trace record per decision. *)
+(* The trace record of [batch] pipelined decisions, [adc_conversions]
+   counted per bank: the analog pipeline never drains between
+   same-shape decisions, so each decision after the first adds
+   [iterations × TP] cycles (TP = max stage delay), plus its own
+   degraded-ADC stalls. One decision is batch 1. *)
+let record_of s ~batch ~adc_conversions ~th_ops =
+  let task = s.launch.task in
+  let n = Array.length s.banks in
+  let iters = Task.iterations task in
+  let tp = Timing.task_tp task in
+  {
+    Trace.task;
+    iterations = batch * iters;
+    banks = n;
+    tp;
+    fill_cycles = Timing.fill_cycles task;
+    cycles =
+      Timing.task_cycles task + ((batch - 1) * iters * tp) + (batch * s.stalls);
+    adc_conversions;
+    crossbank_transfers =
+      Crossbank.transfers_per_iteration ~banks:n * iters * batch;
+    th_ops;
+    stall_cycles = batch * s.stalls;
+  }
+
+let run_launch ~pool t s ~batch =
+  let n = Array.length s.banks in
+  Array.map
+    (fun d ->
+      let record =
+        record_of s ~batch:1
+          ~adc_conversions:(d.adc_conversions / max 1 n)
+          ~th_ops:(Th_unit.ops_executed d.th)
+      in
+      Trace.record t.trace record;
+      {
+        emitted = List.rev d.emitted;
+        acc_out = List.rev d.acc_out;
+        xreg_out = List.rev d.xreg_out;
+        write_buffer = List.rev d.wbuf;
+        argext = Th_unit.argext d.th;
+        digital = List.rev d.digital;
+        record;
+      })
+    (run_decisions ~pool t s ~batch)
+
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let invalid_batch batch =
+  E.fail ~layer:"machine" ~code:E.Invalid_operand
+    ~context:[ ("batch", string_of_int batch) ]
+    "batch must be >= 1"
+
+let execute_batch ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch
+    ~batch =
+  if batch < 1 then invalid_batch batch
+  else
+    let* setups = prologue ?lane_mask ?kernel_mode t [ launch ] in
+    Ok (run_launch ~pool t (List.hd setups) ~batch)
+
+let execute ?lane_mask ?pool ?kernel_mode t launch =
+  Result.map
+    (fun rs -> rs.(0))
+    (execute_batch ?lane_mask ?pool ?kernel_mode t launch ~batch:1)
 
 let execute_exn ?lane_mask ?pool ?kernel_mode t launch =
   E.to_invalid_arg (execute ?lane_mask ?pool ?kernel_mode t launch)
-
-let run ?pool ?kernel_mode t launches =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match execute ?pool ?kernel_mode t l with
-        | Ok r -> go (r :: acc) rest
-        | Error e -> Error e)
-  in
-  go [] launches
 
 let default_launch (task : Task.t) =
   let p = task.Task.op_param in
@@ -426,197 +569,138 @@ let default_launch (task : Task.t) =
     dest_xreg = Params.xreg_depth - 1;
   }
 
-let run_program ?pool ?kernel_mode t (program : Program.t) =
-  run ?pool ?kernel_mode t (List.map default_launch program.Program.tasks)
-
-(* ------------------------------------------------------------------ *)
-(* Batched execution                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let batch_plane t ~need =
-  if Bigarray.Array1.dim t.bplane < need then
-    t.bplane <- Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout need;
-  t.bplane
-
-let invalid_batch batch =
-  E.fail ~layer:"machine" ~code:E.Invalid_operand
-    ~context:[ ("batch", string_of_int batch) ]
-    "batch must be >= 1"
-
-(* Shared entry validation + fast-path eligibility for the batched
-   APIs. [Ok (banks, avail_adc, Some kernels)] means the decision-major
-   fast path applies: fused kernels on every bank of the group, an emit
-   destination with no mid-task bank-state feedback, and at least one
-   iteration. *)
-let batch_setup ?lane_mask ?kernel_mode t launch =
-  let ( let* ) = Result.bind in
-  let task = launch.task in
-  let kernel_mode =
-    match kernel_mode with Some m -> m | None -> default_kernel_mode ()
-  in
-  let* () =
-    match Task.validate task with
-    | Ok _ -> Ok ()
-    | Error d -> Error (Promise_core.Diag.to_error ~layer:"machine" d)
-  in
-  let* banks = group_banks t launch in
-  let* avail_adc =
-    let avail =
-      Array.fold_left
-        (fun acc b -> min acc (Faults.adc_units_available (Bank.faults b)))
-        A.Adc.units_per_bank banks
-    in
-    if Task.uses_adc task && avail < 1 then
-      E.fail ~layer:"machine" ~code:E.Fault
-        ~context:[ ("group", string_of_int launch.bank_group) ]
-        "all ADC units of the bank group are dead"
-    else Ok avail
-  in
-  let kernels =
-    match kernel_mode with
-    | Reference -> None
-    | Fused ->
-        if cross_bank_safe launch && Task.iterations task > 0 then
-          let ks = cached_kernels ?lane_mask t launch banks in
-          if Array.for_all Kernel.is_fused ks then Some ks else None
-        else None
-  in
-  Ok (banks, avail_adc, kernels)
-
-(* Fill the bank-major sample plane: bank [bi]'s samples for the whole
-   batch live at [bi*batch*iters + d*iters + i]. Bank-major order keeps
-   each bank's private RNG streams consumed exactly as sequential
-   execution would (banks never read each other's state), and lets a
-   pool fan the banks out with one synchronization per batch instead of
-   one per task. *)
-let fill_batch_plane ~pool ~kernels ~(plane : A.Rng.ba) ~batch ~iters =
-  let n = Array.length kernels in
-  let per = batch * iters in
-  if Pool.is_parallel pool && n > 1 then
-    ignore
-      (Pool.map_array pool
-         (fun bi ->
-           Kernel.sample_batch_into kernels.(bi) ~batch ~dst:plane
-             ~off:(bi * per))
-         (Array.init n (fun i -> i)))
-  else
-    for bi = 0 to n - 1 do
-      Kernel.sample_batch_into kernels.(bi) ~batch ~dst:plane ~off:(bi * per)
-    done
-
-let execute_batch ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t launch
-    ~batch =
+(* A multi-task program may feed bank state forward between its tasks,
+   so each decision runs the tasks in order; a single-task program runs
+   its whole batch as one launch. *)
+let run_program_batch ?(pool = Pool.sequential) ?kernel_mode t
+    (program : Program.t) ~batch =
   if batch < 1 then invalid_batch batch
   else
-    let sequential () =
-      let rec go acc d =
-        if d = batch then Ok (Array.of_list (List.rev acc))
-        else
-          match execute ?lane_mask ~pool ?kernel_mode t launch with
-          | Ok r -> go (r :: acc) (d + 1)
-          | Error e -> Error e
-      in
-      go [] 0
+    let* setups =
+      prologue ?kernel_mode t (List.map default_launch program.Program.tasks)
     in
-    match batch_setup ?lane_mask ?kernel_mode t launch with
-    | Error e -> Error e
-    | Ok (_, _, None) -> sequential ()
-    | Ok (banks, avail_adc, Some kernels) ->
-        let task = launch.task in
-        let iters = Task.iterations task in
-        let n = Array.length banks in
-        let per = batch * iters in
-        let plane = batch_plane t ~need:(n * per) in
-        fill_batch_plane ~pool ~kernels ~plane ~batch ~iters;
-        let stall_cycles =
-          if Task.uses_adc task then excess_adc_stalls task ~avail:avail_adc
-          else 0
-        in
-        (* per-decision reduction: exactly the sequential fused fast
-           loop of [execute], reading samples from the plane — same
-           Crossbank combine, same TH, same per-decision trace record *)
-        let partials = Array.make n 0.0 in
-        let results =
-          Array.init batch (fun d ->
-              let th = Th_unit.create launch.th in
-              let emitted = ref [] and acc_out = ref [] and wbuf = ref [] in
-              let xreg_out = ref [] in
-              for i = 0 to iters - 1 do
-                for bi = 0 to n - 1 do
-                  partials.(bi) <- plane.{(bi * per) + (d * iters) + i}
-                done;
-                let combined = Crossbank.combine partials in
-                match Th_unit.push th combined with
-                | Some emit ->
-                    route_emit banks launch emit ~emitted ~acc_out ~xreg_out
-                      ~wbuf
-                | None -> ()
-              done;
-              (match Th_unit.finish th with
-              | Some emit ->
-                  route_emit banks launch emit ~emitted ~acc_out ~xreg_out
-                    ~wbuf
-              | None -> ());
-              let record =
-                {
-                  Trace.task;
-                  iterations = iters;
-                  banks = n;
-                  tp = Timing.task_tp task;
-                  fill_cycles = Timing.fill_cycles task;
-                  cycles = Timing.task_cycles task + stall_cycles;
-                  adc_conversions = iters;
-                  crossbank_transfers =
-                    Crossbank.transfers_per_iteration ~banks:n * iters;
-                  th_ops = Th_unit.ops_executed th;
-                  stall_cycles;
-                }
-              in
-              Trace.record t.trace record;
-              {
-                emitted = List.rev !emitted;
-                acc_out = List.rev !acc_out;
-                xreg_out = List.rev !xreg_out;
-                write_buffer = List.rev !wbuf;
-                argext = Th_unit.argext th;
-                digital = [];
-                record;
-              })
-        in
-        Ok results
+    match setups with
+    | [ s ] -> Ok (Array.map (fun r -> [ r ]) (run_launch ~pool t s ~batch))
+    | _ ->
+        Ok
+          (Array.init batch (fun _ ->
+               List.map (fun s -> (run_launch ~pool t s ~batch:1).(0)) setups))
+
+let run_program ?pool ?kernel_mode t program =
+  Result.map
+    (fun rs -> rs.(0))
+    (run_program_batch ?pool ?kernel_mode t program ~batch:1)
 
 (* Emissions per decision on the batched serving path: every op except
    max/min emits once per TH group (the final partial group included,
    flushed by [Th_unit.finish]); max/min emit their extremum exactly
-   once at finish. *)
+   once at finish. A task shape that never samples never emits. *)
 let emissions_per_decision (task : Task.t) ~(th : Th_unit.config) =
-  let iters = Task.iterations task in
-  let groups = (iters + th.Th_unit.acc_num) / (th.Th_unit.acc_num + 1) in
-  match th.Th_unit.op with
-  | Opcode.C4_max | Opcode.C4_min -> 1
-  | _ -> groups
+  if not (Kernel.fusable task) then 0
+  else
+    match th.Th_unit.op with
+    | Opcode.C4_max | Opcode.C4_min -> 1
+    | _ -> (Task.iterations task + th.Th_unit.acc_num) / (th.Th_unit.acc_num + 1)
+
+(* The fused zero-allocation reduction of [execute_batch_into]: TH
+   inlined, because [Th_unit.push]'s state lives in a mixed record
+   whose float stores box, and its emits are [Some {record}] — both
+   allocate per group. The arithmetic below is [Th_unit]'s own,
+   operation for operation, and the differential suite (test_batch)
+   holds this path bitwise equal to [execute] + [Th_unit] over random
+   tasks; any TH change must keep it green. Scratch: [bacc.(0)] the
+   cross-bank combine, [bacc.(1)] the TH group accumulator, [bacc.(2)]
+   the running extremum, [bacc.(3)] the group value handed to
+   [apply_group] — passed through the float array rather than as an
+   argument because a float argument to a local closure is boxed on
+   every call (one box per TH group defeats the zero-allocation
+   property). *)
+let reduce_into t (plane : A.Rng.ba) ~n ~iters ~batch ~(thc : Th_unit.config)
+    ~(out : A.Rng.ba) =
+  let per = batch * iters in
+  let op = thc.Th_unit.op in
+  let acc_num = thc.Th_unit.acc_num in
+  let gain = thc.Th_unit.gain in
+  let threshold = thc.Th_unit.threshold in
+  let acc_n1f = float_of_int (acc_num + 1) in
+  let bacc = t.bacc in
+  let gcount = ref 0 in
+  let emit_at = ref 0 in
+  let ext_set = ref false in
+  let apply_group () =
+    let value = bacc.(3) in
+    match op with
+    | Opcode.C4_accumulate ->
+        out.{!emit_at} <- value;
+        incr emit_at
+    | Opcode.C4_mean ->
+        out.{!emit_at} <- value /. acc_n1f;
+        incr emit_at
+    | Opcode.C4_threshold ->
+        out.{!emit_at} <- (if value > threshold then 1.0 else 0.0);
+        incr emit_at
+    | Opcode.C4_sigmoid ->
+        out.{!emit_at} <- Th_unit.pwl_sigmoid value;
+        incr emit_at
+    | Opcode.C4_relu ->
+        out.{!emit_at} <- Th_unit.relu value;
+        incr emit_at
+    | Opcode.C4_max ->
+        if (not !ext_set) || value > bacc.(2) then begin
+          bacc.(2) <- value;
+          ext_set := true
+        end
+    | Opcode.C4_min ->
+        if (not !ext_set) || value < bacc.(2) then begin
+          bacc.(2) <- value;
+          ext_set := true
+        end
+  in
+  for d = 0 to batch - 1 do
+    bacc.(1) <- 0.0;
+    gcount := 0;
+    ext_set := false;
+    for i = 0 to iters - 1 do
+      bacc.(0) <- 0.0;
+      for bi = 0 to n - 1 do
+        bacc.(0) <- bacc.(0) +. plane.{(bi * per) + (d * iters) + i}
+      done;
+      bacc.(1) <- bacc.(1) +. (gain *. bacc.(0));
+      incr gcount;
+      if !gcount = acc_num + 1 then begin
+        bacc.(3) <- bacc.(1);
+        bacc.(1) <- 0.0;
+        gcount := 0;
+        apply_group ()
+      end
+    done;
+    if !gcount > 0 then begin
+      bacc.(3) <- bacc.(1);
+      bacc.(1) <- 0.0;
+      gcount := 0;
+      apply_group ()
+    end;
+    match op with
+    | Opcode.C4_max | Opcode.C4_min ->
+        out.{!emit_at} <- bacc.(2);
+        incr emit_at
+    | _ -> ()
+  done
 
 let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
-    launch ~batch ~(out : A.Rng.ba) =
+    (launch : launch) ~batch ~(out : A.Rng.ba) =
   if batch < 1 then invalid_batch batch
   else
-    match
-      match injected_fault launch with
-      | Error e -> Error e
-      | Ok () -> batch_setup ?lane_mask ?kernel_mode t launch
-    with
-    | Error e -> Error e
-    | Ok (_, _, None) ->
+    match launch.th.Th_unit.des with
+    | Opcode.Des_xreg | Opcode.Des_write_buffer ->
         E.fail ~layer:"machine" ~code:E.Unsupported
-          ~context:
-            [ ("des", "xreg/write_buffer feedback, reference mode, or \
-                       non-fused task shape") ]
-          "execute_batch_into requires the batched fused fast path"
-    | Ok (banks, avail_adc, Some kernels) ->
+          ~context:[ ("des", "xreg/write_buffer") ]
+          "execute_batch_into serves output-buffer and ACC launches only"
+    | Opcode.Des_output_buffer | Opcode.Des_acc ->
+        let* setups = prologue ?lane_mask ?kernel_mode t [ launch ] in
+        let s = List.hd setups in
         let task = launch.task in
-        let iters = Task.iterations task in
-        let thc = launch.th in
-        let epd = emissions_per_decision task ~th:thc in
+        let epd = emissions_per_decision task ~th:launch.th in
         if Bigarray.Array1.dim out < batch * epd then
           E.fail ~layer:"machine" ~code:E.Invalid_operand
             ~context:
@@ -626,144 +710,34 @@ let execute_batch_into ?lane_mask ?(pool = Pool.sequential) ?kernel_mode t
               ]
             "output buffer too small for batch"
         else begin
-          let n = Array.length banks in
-          let per = batch * iters in
-          let plane = batch_plane t ~need:(n * per) in
-          fill_batch_plane ~pool ~kernels ~plane ~batch ~iters;
-          let stalls =
-            if Task.uses_adc task then excess_adc_stalls task ~avail:avail_adc
-            else 0
+          let n = Array.length s.banks in
+          let iters = Task.iterations task in
+          let adc_conversions, th_ops =
+            match s.kernels with
+            | Some ks ->
+                let plane = batch_plane t ~need:(n * batch * iters) in
+                fill_plane ~pool ks plane ~first:0 ~iters ~batch;
+                reduce_into t plane ~n ~iters ~batch ~thc:launch.th ~out;
+                let acc_num = launch.th.Th_unit.acc_num in
+                (batch * iters, batch * ((iters + acc_num) / (acc_num + 1)))
+            | None ->
+                (* the scalar oracle, then the same emission stream *)
+                let ds = run_decisions ~pool t s ~batch in
+                Array.iteri
+                  (fun di d ->
+                    List.iteri
+                      (fun g v -> out.{(di * epd) + g} <- v)
+                      (List.rev d.emitted @ List.rev d.acc_out))
+                  ds;
+                Array.fold_left
+                  (fun (adc, ops) d ->
+                    ( adc + (d.adc_conversions / max 1 n),
+                      ops + Th_unit.ops_executed d.th ))
+                  (0, 0) ds
           in
-          (* TH inlined for the zero-allocation loop: [Th_unit.push]'s
-             state lives in a mixed record whose float stores box, and
-             its emits are [Some {record}] — both allocate per group.
-             The arithmetic below is [Th_unit]'s own, operation for
-             operation, and the differential suite (test_batch) holds
-             this path bitwise equal to [execute] + [Th_unit] over
-             random tasks; any TH change must keep it green. Scratch:
-             [bacc.(0)] the cross-bank combine, [bacc.(1)] the TH group
-             accumulator, [bacc.(2)] the running extremum, [bacc.(3)]
-             the group value handed to [apply_group] — passed through
-             the float array rather than as an argument because a float
-             argument to a local closure is boxed on every call (one
-             box per TH group defeats the zero-allocation property). *)
-          let op = thc.Th_unit.op in
-          let acc_num = thc.Th_unit.acc_num in
-          let gain = thc.Th_unit.gain in
-          let threshold = thc.Th_unit.threshold in
-          let acc_n1f = float_of_int (acc_num + 1) in
-          let bacc = t.bacc in
-          let gcount = ref 0 in
-          let emit_at = ref 0 in
-          let ext_set = ref false in
-          let apply_group () =
-            let value = bacc.(3) in
-            match op with
-            | Opcode.C4_accumulate ->
-                out.{!emit_at} <- value;
-                incr emit_at
-            | Opcode.C4_mean ->
-                out.{!emit_at} <- value /. acc_n1f;
-                incr emit_at
-            | Opcode.C4_threshold ->
-                out.{!emit_at} <- (if value > threshold then 1.0 else 0.0);
-                incr emit_at
-            | Opcode.C4_sigmoid ->
-                out.{!emit_at} <- Th_unit.pwl_sigmoid value;
-                incr emit_at
-            | Opcode.C4_relu ->
-                out.{!emit_at} <- Th_unit.relu value;
-                incr emit_at
-            | Opcode.C4_max ->
-                if (not !ext_set) || value > bacc.(2) then begin
-                  bacc.(2) <- value;
-                  ext_set := true
-                end
-            | Opcode.C4_min ->
-                if (not !ext_set) || value < bacc.(2) then begin
-                  bacc.(2) <- value;
-                  ext_set := true
-                end
-          in
-          for d = 0 to batch - 1 do
-            bacc.(1) <- 0.0;
-            gcount := 0;
-            ext_set := false;
-            for i = 0 to iters - 1 do
-              bacc.(0) <- 0.0;
-              for bi = 0 to n - 1 do
-                bacc.(0) <- bacc.(0) +. plane.{(bi * per) + (d * iters) + i}
-              done;
-              bacc.(1) <- bacc.(1) +. (gain *. bacc.(0));
-              incr gcount;
-              if !gcount = acc_num + 1 then begin
-                bacc.(3) <- bacc.(1);
-                bacc.(1) <- 0.0;
-                gcount := 0;
-                apply_group ()
-              end
-            done;
-            if !gcount > 0 then begin
-              bacc.(3) <- bacc.(1);
-              bacc.(1) <- 0.0;
-              gcount := 0;
-              apply_group ()
-            end;
-            (match op with
-            | Opcode.C4_max | Opcode.C4_min ->
-                out.{!emit_at} <- bacc.(2);
-                incr emit_at
-            | _ -> ())
-          done;
-          (* one trace record for the whole batch, with the pipelined
-             timing model: the pipeline never drains between decisions
-             of the same task shape, so each decision after the first
-             adds [iterations × TP] cycles (TP = max stage delay), plus
-             its own degraded-ADC stalls *)
-          let tp = Timing.task_tp task in
-          let record =
-            {
-              Trace.task;
-              iterations = batch * iters;
-              banks = n;
-              tp;
-              fill_cycles = Timing.fill_cycles task;
-              cycles =
-                Timing.task_cycles task
-                + ((batch - 1) * iters * tp)
-                + (batch * stalls);
-              adc_conversions = batch * iters;
-              crossbank_transfers =
-                Crossbank.transfers_per_iteration ~banks:n * iters * batch;
-              th_ops =
-                batch * ((iters + acc_num) / (acc_num + 1));
-              stall_cycles = batch * stalls;
-            }
-          in
-          Trace.record t.trace record;
+          Trace.record t.trace (record_of s ~batch ~adc_conversions ~th_ops);
           Ok epd
         end
-
-let run_program_batch ?pool ?kernel_mode t (program : Program.t) ~batch =
-  if batch < 1 then invalid_batch batch
-  else
-    match program.Program.tasks with
-    | [ task ] ->
-        Result.map
-          (Array.map (fun r -> [ r ]))
-          (execute_batch ?pool ?kernel_mode t (default_launch task) ~batch)
-    | _ ->
-        (* multi-task programs may feed bank state forward between
-           tasks (X-REG / write-buffer destinations), so decisions
-           replay sequentially — the general correct path *)
-        let rec go acc d =
-          if d = batch then Ok (Array.of_list (List.rev acc))
-          else
-            match run_program ?pool ?kernel_mode t program with
-            | Ok rs -> go (rs :: acc) (d + 1)
-            | Error e -> Error e
-        in
-        go [] 0
 
 (* Scatter a dense logical slice onto the physical lanes named by
    [lane_map] (lane sparing); identity when no map. *)
@@ -818,5 +792,3 @@ let load_x ?lane_map t ~group ~xreg_base ~plan x =
         ~index:(xreg_base + segment) slice
     done
   done
-
-let read_xreg t ~bank:i ~xreg = Xreg.get (Bank.xreg (bank t i)) ~index:xreg

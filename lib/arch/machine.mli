@@ -19,17 +19,18 @@ val ideal_config : banks:int -> config
 
 type t
 
-(** How {!execute} runs the per-bank iteration chain.
+(** How the per-bank iteration chain runs.
 
     [Fused] (the default) compiles one {!Kernel} per bank of the group
-    — a single fused pass with the swing/noise/LUT/leakage/fault
-    constants hoisted out of the loop and pre-sampled per 8-bit code,
-    running into preallocated scratch (no steady-state allocations) —
-    and caches it on the machine, revalidating per execute.
-    [Reference] is the original scalar path ({!Bank.run_iteration}).
-    The two are bit-identical on every task, profile, fault set and
-    lane mask (the differential QCheck suite enforces it); [Reference]
-    exists as the oracle for that suite and for debugging. *)
+    — the swing/noise/LUT/leakage/fault constants hoisted out of the
+    loop and pre-sampled per 8-bit code — caches it on the machine
+    (revalidated per call), and samples through
+    {!Kernel.sample_batch_into}, the one fused datapath.
+    [Reference] is the scalar path ({!Bank.run_iteration}), which also
+    runs task shapes the kernels do not fuse. The two are bit-identical
+    on every task, destination, profile, fault set and lane mask (the
+    differential QCheck suites enforce it); [Reference] exists as the
+    oracle for those suites and for debugging. *)
 type kernel_mode = Fused | Reference
 
 (** The session default: [Reference] when the [PROMISE_KERNEL_MODE]
@@ -68,20 +69,28 @@ type result = {
   record : Trace.task_record;
 }
 
-(** [execute ?lane_mask ?pool t launch] — run every iteration of the
-    task, combine bank partials over the cross-bank rail, drive TH,
-    route destinations, and append a record to the trace. [lane_mask]
-    (lane sparing, {!Layout.lane_mask_of_map}) restricts charge sharing
-    to the masked physical lanes. [pool] (default
+(** [execute ?lane_mask ?pool ?kernel_mode t launch] — one decision:
+    {!execute_batch} at batch 1. Runs every iteration of the task,
+    combines bank partials over the cross-bank rail, drives TH, routes
+    destinations, and appends a record to the trace. [lane_mask] (lane
+    sparing, {!Layout.lane_mask_of_map}) restricts charge sharing to
+    the masked physical lanes. [pool] (default
     {!Promise_core.Pool.sequential}) fans the banks of a multi-bank
-    group out across domains, bank-major; because every bank draws from
-    its own split RNG stream and X-REG/write-buffer destinations stay
-    on the sequential path, results are bit-identical at any job count.
-    [kernel_mode] (default {!default_kernel_mode}) selects the fused
-    compiled-kernel datapath or the scalar reference path — also
-    bit-identical by contract. [Error] (typed, layer ["machine"]) when
-    the task fails validation, the bank group exceeds the machine, or
-    every ADC unit of the group is dead. *)
+    group out across domains, bank-major; every bank draws from its own
+    split RNG stream and a launch whose emits feed its own X reads
+    steps its banks in lockstep, so results are bit-identical at any
+    job count. [kernel_mode] (default {!default_kernel_mode}) selects
+    the fused datapath or the scalar reference path — also
+    bit-identical by contract.
+
+    Every entry point of this module shares one prologue: the
+    [machine.execute] failpoint ({!Promise_core.Failpoint}) is consulted
+    exactly once per call, then every launch of the call is validated
+    — all before any bank state or RNG stream is touched, so a retry
+    after an [Error] sees the machine as if the failed call never
+    happened. [Error] (typed, layer ["machine"]) when the failpoint
+    injects a [Fault], a task fails validation, the bank group exceeds
+    the machine, or every ADC unit of the group is dead. *)
 val execute :
   ?lane_mask:bool array ->
   ?pool:Promise_core.Pool.t ->
@@ -101,15 +110,6 @@ val execute_exn :
   launch ->
   result
 
-(** [run ?pool ?kernel_mode t launches] — execute in order; stops at
-    the first error. *)
-val run :
-  ?pool:Promise_core.Pool.t ->
-  ?kernel_mode:kernel_mode ->
-  t ->
-  launch list ->
-  (result list, Promise_core.Error.t) Stdlib.result
-
 (** [default_launch task] — a launch with ISA-level defaults for raw
     (assembler-driven) execution: bank group 0, all 128 lanes, unit ADC
     gain, TH pre-gain = 128 × the task's analog scale (so emitted
@@ -117,9 +117,10 @@ val run :
     from OP_PARAM. *)
 val default_launch : Promise_isa.Task.t -> launch
 
-(** [run_program ?pool t program] — execute a raw ISA program with
-    {!default_launch} semantics (the [promise-asm] path: no compiler
-    metadata needed); stops at the first error. *)
+(** [run_program ?pool ?kernel_mode t program] — one decision of a raw
+    ISA program with {!default_launch} semantics (the [promise-asm]
+    path: no compiler metadata needed): {!run_program_batch} at
+    batch 1. *)
 val run_program :
   ?pool:Promise_core.Pool.t ->
   ?kernel_mode:kernel_mode ->
@@ -129,17 +130,21 @@ val run_program :
 
 (** {2 Batched execution}
 
-    The batch engine runs N decisions of one launch in a single pass:
-    each bank of the group samples its whole batch through
+    The batch engine is the machine's one fused datapath ({!execute}
+    is batch 1): each bank of the group samples the whole batch through
     {!Kernel.sample_batch_into} into a bank-major structure-of-arrays
     plane (noise for the whole batch drawn in one
     {!Promise_analog.Rng.gaussian_fill_ba} per tile), then the
-    cross-bank rail and TH reduce the plane decision by decision.
+    cross-bank rail and TH reduce the plane decision by decision. A
+    launch whose X-REG emits land inside its own X read window samples
+    one iteration per kernel call instead, so each staged emit shows
+    through to the next X read. [Reference] mode and task shapes that
+    are not {!Kernel.fusable} run the scalar oracle loop.
     Bit-identity contract: for every launch and every [batch], the
-    results — values, RNG stream states, per-decision trace records —
-    are exactly those of [batch] back-to-back {!execute} calls. The
-    differential QCheck suite (test_batch) enforces this against both
-    the fused and the scalar [Reference] paths. *)
+    results — values, RNG stream states, bank state, per-decision trace
+    records — are exactly those of [batch] back-to-back {!execute}
+    calls. The differential QCheck suite (test_batch) enforces this
+    against both the fused and the scalar [Reference] paths. *)
 
 (** The session's default batch width: [PROMISE_BATCH] when it parses
     as an integer in [1, 4096], else 1. Read once, lazily. The variable
@@ -150,15 +155,12 @@ val default_batch : unit -> int
 
 (** [execute_batch ?lane_mask ?pool ?kernel_mode t launch ~batch] — run
     [batch] decisions of [launch], returning one {!result} per decision
-    (index = decision order). Decisions whose launch shape supports it
-    (fused kernels on every bank, output-buffer/ACC destination,
-    [iterations > 0]) take the batched fast path; anything else —
-    including [`Reference`] mode, which is the differential oracle —
-    falls back to [batch] sequential {!execute} calls, so the call is
-    total over every launch {!execute} accepts. [pool] fans the banks
-    of the group out bank-major with one synchronization per batch.
-    [Error] with [Invalid_operand] when [batch < 1], otherwise exactly
-    {!execute}'s errors. *)
+    (index = decision order) and appending one trace record per
+    decision. Total over every launch: destinations, kernel modes and
+    task shapes all go through the one prologue and the one TH
+    reduction. [pool] fans the banks of the group out bank-major with
+    one synchronization per batch. [Error] with [Invalid_operand] when
+    [batch < 1], otherwise exactly {!execute}'s errors. *)
 val execute_batch :
   ?lane_mask:bool array ->
   ?pool:Promise_core.Pool.t ->
@@ -170,7 +172,8 @@ val execute_batch :
 
 (** [emissions_per_decision task ~th] — how many values one decision
     emits on the batched serving path: one per TH group (final partial
-    group included), or exactly one for max/min. *)
+    group included), exactly one for max/min, and none for a task shape
+    that never samples (not {!Kernel.fusable}). *)
 val emissions_per_decision : Promise_isa.Task.t -> th:Th_unit.config -> int
 
 (** [execute_batch_into ?lane_mask ?pool ?kernel_mode t launch ~batch
@@ -185,8 +188,11 @@ val emissions_per_decision : Promise_isa.Task.t -> th:Th_unit.config -> int
     pipelined timing model: the analog pipeline never drains between
     same-shape decisions, so cycles = task_cycles + (batch − 1) ×
     iterations × TP, plus per-decision degraded-ADC stalls
-    ({!Scheduler.run_batch} validates the closed form). Requires the
-    batched fast path ([Unsupported] otherwise) and
+    ({!Scheduler.run_batch} validates the closed form). Total over
+    output-buffer and ACC launches in both kernel modes: [Reference]
+    mode and non-fused task shapes fill [out] from the scalar oracle
+    (allocating). [Unsupported] for X-REG and write-buffer
+    destinations, [Invalid_operand] unless
     [Bigarray.Array1.dim out >= batch * epd]. *)
 val execute_batch_into :
   ?lane_mask:bool array ->
@@ -200,10 +206,12 @@ val execute_batch_into :
 
 (** [run_program_batch ?pool ?kernel_mode t program ~batch] — [batch]
     decisions of a raw ISA program with {!default_launch} semantics;
-    element [d] holds decision [d]'s per-task results. Single-task
-    programs ride {!execute_batch}; multi-task programs (which may feed
-    bank state forward between tasks) replay sequentially. Bit-identical
-    to [batch] successive {!run_program} calls either way. *)
+    element [d] holds decision [d]'s per-task results. A single-task
+    program runs as one {!execute_batch}; a multi-task program (which
+    may feed bank state forward between tasks) runs its tasks in order
+    per decision. Every task is validated before the first one runs.
+    Bit-identical to [batch] successive {!run_program} calls either
+    way. *)
 val run_program_batch :
   ?pool:Promise_core.Pool.t ->
   ?kernel_mode:kernel_mode ->
@@ -252,8 +260,3 @@ val load_x :
   plan:Layout.plan ->
   int array ->
   unit
-
-(** [read_xreg t ~bank ~xreg] — one bank's view of an X-REG vector
-    (Class-4 [Des_xreg] emits broadcast to every bank of the group, so
-    the group's first bank is canonical). *)
-val read_xreg : t -> bank:int -> xreg:int -> int array

@@ -38,5 +38,3 @@ val max_banks : int
 val cycle_ns : float
 (** 1 cycle = 1 ns (Table 3). *)
 
-val bank_bytes : int
-(** Storage capacity of one bank in bytes (16 KB). *)

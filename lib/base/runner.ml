@@ -76,9 +76,20 @@ let run_local ~on_checkpoint ~pool ~(session : Sup.session) ~what ~digest
           ("resumed", string_of_int (count_some slots));
         ];
       let item = scope () in
-      (* one pool width per chunk keeps every domain busy while bounding
-         what a crash or a SIGTERM can lose *)
-      let width = max 1 (Pool.jobs pool) in
+      (* an item that has not started when a stop arrives is skipped
+         ([Ok None]), so a stop returns once the in-flight items end *)
+      let guarded i =
+        if Sup.stop_requested session.Sup.stop then Ok None
+        else Result.map Option.some (item i)
+      in
+      (* with a checkpoint, one pool width per chunk keeps every domain
+         busy while bounding what a crash or a SIGTERM can lose; without
+         one, a single map load-balances every pending item *)
+      let width =
+        match session.Sup.checkpoint with
+        | Some _ -> max 1 (Pool.jobs pool)
+        | None -> max 1 total
+      in
       let rec loop pending =
         if Sup.stop_requested session.Sup.stop then begin
           save ();
@@ -102,10 +113,16 @@ let run_local ~on_checkpoint ~pool ~(session : Sup.session) ~what ~digest
               let rest = List.filteri (fun k _ -> k >= width) pending in
               let carr = Array.of_list chunk in
               let results =
-                Sup.map_result ~pool cfg ~label:(fun k -> label carr.(k)) item
-                  chunk
+                Sup.map_result ~pool cfg ~label:(fun k -> label carr.(k))
+                  guarded chunk
               in
-              List.iter2 (fun i r -> slots.(i) <- Some r) chunk results;
+              List.iter2
+                (fun i r ->
+                  match r with
+                  | Ok None -> ()
+                  | Ok (Some v) -> slots.(i) <- Some (Ok v)
+                  | Error e -> slots.(i) <- Some (Error e))
+                chunk results;
               save ();
               loop rest
       in

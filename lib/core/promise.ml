@@ -153,7 +153,7 @@ let run_batch = Promise_compiler.Pipeline.run_batch
     run consults, with typed errors instead of silent fallbacks: a
     typo'd [PROMISE_JOBS=fuor] fails loudly at CLI startup rather than
     quietly running at the default width. The kernel-mode value list
-    mirrors [Arch.Machine.kernel_mode_of_env]; the batch range mirrors
+    mirrors [Arch.Machine.default_kernel_mode]; the batch range mirrors
     [Arch.Machine.default_batch]. *)
 let check_env () =
   Promise_core.Validate.all

@@ -19,22 +19,38 @@ let ( let* ) = Result.bind
 (* Models                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* How a flushed batch reaches the machine.  Probed on first dispatch:
-   single-task programs try the zero-allocation serving path
-   ([execute_batch_into]), which rejects unsupported launch shapes
-   BEFORE touching any machine or RNG state, so falling back to
-   [run_program_batch] is free and the choice sticks for the model's
-   lifetime. *)
+(* How a flushed batch reaches a machine, fixed when the model is built
+   from its program's shape: a single task emitting to the output
+   buffer or the accumulator takes the zero-allocation serving path
+   ([execute_batch_into], total over both kernel modes, into a buffer
+   grown to the largest batch seen); any other program runs as a
+   program batch. *)
 type plan =
-  | Unprobed
-  | Into of { launch : Machine.launch; epd : int; out : Rng.ba }
+  | Into of { launch : Machine.launch; epd : int; mutable out : Rng.ba }
   | Prog
+
+let plan_of_program (program : Promise_isa.Program.t) =
+  match program.Promise_isa.Program.tasks with
+  | [ task ] -> (
+      let launch = Machine.default_launch task in
+      let th = launch.Machine.th in
+      match th.Promise_arch.Th_unit.des with
+      | Promise_isa.Opcode.Des_output_buffer | Promise_isa.Opcode.Des_acc ->
+          Into
+            {
+              launch;
+              epd = Machine.emissions_per_decision task ~th;
+              out = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout 0;
+            }
+      | Promise_isa.Opcode.Des_xreg | Promise_isa.Opcode.Des_write_buffer ->
+          Prog)
+  | _ -> Prog
 
 type model = {
   m_name : string;
   m_machine : Machine.t;
   m_program : Promise_isa.Program.t;
-  mutable m_plan : plan;
+  m_plan : plan;
   m_refill : Machine.t -> unit;
       (** restore the deterministic data image (BIST is destructive) *)
   m_rebuild : unit -> Machine.t;
@@ -77,7 +93,7 @@ let model_of_benchmark ?name ?banks ?(noise_seed = None) ?(fill_seed = 7)
     m_name = Option.value name ~default:b.Benchmarks.name;
     m_machine = build ();
     m_program = b.Benchmarks.per_decision_program;
-    m_plan = Unprobed;
+    m_plan = plan_of_program b.Benchmarks.per_decision_program;
     m_refill = fill_machine ~seed:fill_seed;
     m_rebuild = build;
   }
@@ -406,65 +422,43 @@ let submit t ~rid ~model =
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The decision's emission stream, the reply payload shared by every
-   dispatch path: output-buffer then accumulator emissions per task, in
-   task order.  [execute_batch_into] writes exactly this stream, so the
-   three paths are bitwise comparable. *)
+(* The decision's emission stream, the reply payload of both plans:
+   output-buffer then accumulator emissions per task, in task order —
+   exactly the stream [execute_batch_into] writes. *)
 let values_of_results rs =
   Array.of_list
     (List.concat_map
        (fun r -> r.Machine.emitted @ r.Machine.acc_out)
        rs)
 
-let dispatch_single t m =
-  let* rs = Machine.run_program ?pool:t.pool m.m_machine m.m_program in
-  Ok (values_of_results rs)
-
-let dispatch_program_batch t m ~batch =
-  let* arr =
-    Machine.run_program_batch ?pool:t.pool m.m_machine m.m_program ~batch
-  in
-  Ok (Array.map values_of_results arr)
-
-let slice_into ~out ~epd ~batch =
-  Array.init batch (fun d -> Array.init epd (fun g -> out.{(d * epd) + g}))
-
-let dispatch_batched t m ~batch =
-  match m.m_plan with
-  | Prog -> dispatch_program_batch t m ~batch
-  | Into { epd = _; out; launch } -> (
-      match
-        Machine.execute_batch_into ?pool:t.pool m.m_machine launch ~batch ~out
-      with
-      | Ok epd' -> Ok (slice_into ~out ~epd:epd' ~batch)
-      | Error e -> Error e)
-  | Unprobed -> (
-      match m.m_program.Promise_isa.Program.tasks with
-      | [ task ] -> (
-          let launch = Machine.default_launch task in
-          let epd =
-            Machine.emissions_per_decision task ~th:launch.Machine.th
-          in
-          let out =
+(* [batch] decisions of [m]'s program on [machine] — the model's own
+   machine or its fallback twin — through the model's plan. The trace
+   is an audit artifact of batch/CLI runs; a daemon serving forever
+   must not retain one record per dispatch. *)
+let dispatch t m machine ~kernel_mode ~batch =
+  let r =
+    match m.m_plan with
+    | Into p ->
+        if Bigarray.Array1.dim p.out < batch * p.epd then
+          p.out <-
             Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout
-              (max 1 (t.batch_max * epd))
-          in
-          match
-            Machine.execute_batch_into ?pool:t.pool m.m_machine launch ~batch
-              ~out
-          with
-          | Ok epd' ->
-              m.m_plan <- Into { launch; epd; out };
-              Ok (slice_into ~out ~epd:epd' ~batch)
-          | Error { E.code = E.Unsupported; _ } ->
-              (* rejected before any state was touched: the program path
-                 serves this batch and every later one *)
-              m.m_plan <- Prog;
-              dispatch_program_batch t m ~batch
-          | Error e -> Error e)
-      | _ ->
-          m.m_plan <- Prog;
-          dispatch_program_batch t m ~batch)
+              (batch * p.epd);
+        let* epd =
+          Machine.execute_batch_into ?pool:t.pool ~kernel_mode machine
+            p.launch ~batch ~out:p.out
+        in
+        Ok
+          (Array.init batch (fun d ->
+               Array.init epd (fun g -> p.out.{(d * epd) + g})))
+    | Prog ->
+        let* arr =
+          Machine.run_program_batch ?pool:t.pool ~kernel_mode machine
+            m.m_program ~batch
+        in
+        Ok (Array.map values_of_results arr)
+  in
+  Machine.reset_trace machine;
+  r
 
 let timeout_error ~rid ~waited_ms =
   E.make ~layer:"serve" ~code:E.Timeout
@@ -492,49 +486,26 @@ let injected_serve_fault site =
       None
   | Some Failpoint.Interrupt | None -> None
 
-(* Dispatch the whole batch on an explicit machine — the fallback-twin
-   and reprobe paths. [Reference] kernels make the fallback genuinely
-   digital; the values are still bitwise those of the fused analog path
-   (the PR-7 fused ≡ reference contract), so survivors keep the
-   bit-identity guarantee. *)
-let dispatch_on t m machine ~kernel_mode ~batch =
-  let r =
-    match t.mode with
-    | Batched ->
-        let* arr =
-          Machine.run_program_batch ?pool:t.pool ~kernel_mode machine
-            m.m_program ~batch
-        in
-        Ok (Array.map values_of_results arr)
-    | Single ->
-        let rec go acc k =
-          if k = 0 then Ok (Array.of_list (List.rev acc))
-          else
-            let* rs =
-              Machine.run_program ?pool:t.pool ~kernel_mode machine
-                m.m_program
-            in
-            go (values_of_results rs :: acc) (k - 1)
-        in
-        go [] batch
-  in
-  Machine.reset_trace machine;
-  r
+(* A flushed set on [machine]: [Batched] dispatches it as one batch,
+   [Single] one decision at a time. *)
+let run_flush t m machine ~kernel_mode ~batch =
+  match t.mode with
+  | Batched -> dispatch t m machine ~kernel_mode ~batch
+  | Single ->
+      let rec go acc k =
+        if k = 0 then Ok (Array.of_list (List.rev acc))
+        else
+          let* v = dispatch t m machine ~kernel_mode ~batch:1 in
+          go (v.(0) :: acc) (k - 1)
+      in
+      go [] batch
 
 let dispatch_primary t m ~batch =
   match injected_serve_fault "serve.dispatch" with
   | Some e -> Error e
-  | None -> (
-      match t.mode with
-      | Batched -> dispatch_batched t m ~batch
-      | Single ->
-          let rec go acc k =
-            if k = 0 then Ok (Array.of_list (List.rev acc))
-            else
-              let* v = dispatch_single t m in
-              go (v :: acc) (k - 1)
-          in
-          go [] batch)
+  | None ->
+      run_flush t m m.m_machine ~kernel_mode:(Machine.default_kernel_mode ())
+        ~batch
 
 let breaker_incident t m ~state fields =
   Incident.record t.incidents Incident.Breaker
@@ -599,9 +570,13 @@ let fallback_machine m h =
    reprobes the primary every [reprobe_interval] flushes. Requests only
    fail if the digital rung fails too. *)
 let dispatch_with_heal t m h ~batch ~flush_fault =
+  (* [Reference] kernels make the fallback genuinely digital; the values
+     are still bitwise those of the fused analog path (the fused ≡
+     reference contract), so survivors keep the bit-identity
+     guarantee *)
   let twin () =
     let* vs =
-      dispatch_on t m (fallback_machine m h) ~kernel_mode:Machine.Reference
+      run_flush t m (fallback_machine m h) ~kernel_mode:Machine.Reference
         ~batch
     in
     t.fallback_batches <- t.fallback_batches + 1;
@@ -727,9 +702,6 @@ let flush t p =
             Supervisor.supervise t.sup ~label (fun ~attempt:_ ->
                 dispatch_with_heal t m h ~batch:n ~flush_fault)
           in
-          (* the trace is an audit artifact of batch/CLI runs; a daemon
-             serving forever must not retain one record per dispatch *)
-          Machine.reset_trace m.m_machine;
           (match dispatched with
           | Ok _ ->
               if probing then breaker_incident t m ~state:"closed" [];

@@ -14,13 +14,15 @@
       per-model pending set and flush as one multi-decision batch when
       the set reaches [batch_max] {e or} its oldest request has waited
       [flush_us] microseconds, whichever comes first.
-    - {e Dispatch}: a flushed batch rides the PR-7 batch engine —
-      single-task programs take the zero-allocation
-      {!Promise_arch.Machine.execute_batch_into} serving path (probed
-      once per model, falling back to
-      {!Promise_arch.Machine.run_program_batch} if the launch shape is
-      unsupported); execution runs under {!Promise_core.Supervisor} so a
-      failure becomes typed per-request errors, never a dead daemon.
+    - {e Dispatch}: a flushed batch rides the machine's batch engine
+      through one dispatch function, on the model's own machine or its
+      digital fallback twin. The plan is fixed when the model is built,
+      from its program's shape: a single task emitting to the output
+      buffer or the accumulator takes the zero-allocation
+      {!Promise_arch.Machine.execute_batch_into} serving path, any other
+      program {!Promise_arch.Machine.run_program_batch}. Execution runs
+      under {!Promise_core.Supervisor} so a failure becomes typed
+      per-request errors, never a dead daemon.
       [pool] fans multi-bank groups out across domains bank-major
       (per-bank affinity), exactly as {!Promise_arch.Machine.execute}.
     - {e Responder}: every request gets exactly one {!outcome} through
@@ -30,7 +32,7 @@
     Bit-identity contract, extended through the service path: the values
     a request receives from a coalesced batch are bitwise identical to
     the values it would receive from sequential single-decision
-    execution of the same arrival order on a twin machine (the PR-7
+    execution of the same arrival order on a twin machine (the machine's
     batched ≡ sequential contract; [test_serve] and [--selftest-load]
     both enforce it).
 

@@ -24,6 +24,7 @@ module Pipeline = P.Compiler.Pipeline
 module Cache = Pipeline.Cache
 module Pool = P.Pool
 module E = P.Error
+module Fp = P.Failpoint
 
 let check = Alcotest.check
 let bool = Alcotest.bool
@@ -41,19 +42,22 @@ type case = {
   banks_log : int;
   mb : int;
   rpt : int;
-  shape : int;  (** includes the non-fusable passthrough shape *)
+  shape : int;  (** includes a non-fusable shape *)
   fault : int;
   masked : bool;
   active_lanes : int;
   gain_log : int;
   swing : int;
   x_prd : int;
+  dest : int;  (** 0 output buffer, 1 ACC, 2 write buffer, 3 X-REG *)
+  dest_xreg : int;  (** X-REG destination, often inside the X window *)
   batch : int;
 }
 
 let gen_case st =
   let open QCheck.Gen in
   let banks_log = int_range 0 3 st in
+  let x_prd = int_bound 3 st in
   {
     seed = int_bound 10_000 st;
     noisy = bool st;
@@ -67,16 +71,20 @@ let gen_case st =
     active_lanes = int_range 1 128 st;
     gain_log = int_bound 2 st;
     swing = int_bound 7 st;
-    x_prd = int_bound 3 st;
+    x_prd;
+    dest = int_bound 3 st;
+    dest_xreg = oneof [ int_bound x_prd; int_bound 7 ] st;
     batch = oneofl [ 1; 2; 3; 4; 8; 16; 33 ] st;
   }
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; noisy=%b; profile=%d; banks=%d; mb=%d; rpt=%d; shape=%d; \
-     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; batch=%d}"
+     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; dest=%d; \
+     dest_xreg=%d; batch=%d}"
     c.seed c.noisy c.profile (1 lsl c.banks_log) c.mb c.rpt c.shape c.fault
-    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.batch
+    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.dest
+    c.dest_xreg c.batch
 
 let task_of c =
   let op_param =
@@ -87,6 +95,12 @@ let task_of c =
       x_addr1 = 1;
       x_addr2 = 2;
       x_prd = c.x_prd;
+      des =
+        (match c.dest with
+        | 0 -> Op.Des_output_buffer
+        | 1 -> Op.Des_acc
+        | 2 -> Op.Des_write_buffer
+        | _ -> Op.Des_xreg);
     }
   in
   let mk ~class1 ~asd ~avd ~class3 ~class4 =
@@ -172,6 +186,7 @@ let launch_of c task =
     (Machine.default_launch task) with
     Machine.active_lanes = c.active_lanes;
     adc_gain = float_of_int (1 lsl c.gain_log);
+    dest_xreg = c.dest_xreg;
   }
 
 let lane_mask_of c =
@@ -183,8 +198,18 @@ let same_result (a : Machine.result) (b : Machine.result) =
   && a.write_buffer = b.write_buffer
   && a.argext = b.argext && a.digital = b.digital
 
-(* [batch] sequential executes on a fresh twin machine. *)
-let run_singles c mode =
+(* The bank state emits stage into: every X-REG row and the
+   write-buffer depth of every bank. *)
+let bank_state m =
+  List.init (Machine.n_banks m) (fun bi ->
+      let b = Machine.bank m bi in
+      ( List.init Arch.Params.xreg_depth (fun i ->
+            Arch.Xreg.get (Arch.Bank.xreg b) ~index:i),
+        Arch.Bank.staged_write_count b ))
+
+(* [batch] sequential executes on a fresh twin machine, with the bank
+   state they leave behind. *)
+let run_singles_state c mode =
   let m = machine_of c in
   let launch = launch_of c (task_of c) in
   let lane_mask = lane_mask_of c in
@@ -195,17 +220,24 @@ let run_singles c mode =
       | Ok r -> go (n - 1) (r :: acc)
       | Error e -> Error (E.to_string e)
   in
-  go c.batch []
+  let rs = go c.batch [] in
+  (rs, bank_state m)
+
+let run_singles c mode = fst (run_singles_state c mode)
 
 let run_batched c mode =
   let m = machine_of c in
   let launch = launch_of c (task_of c) in
   let lane_mask = lane_mask_of c in
-  match Machine.execute_batch ?lane_mask ~kernel_mode:mode m launch
-          ~batch:c.batch
-  with
-  | Ok rs -> Ok rs
-  | Error e -> Error (E.to_string e)
+  let rs =
+    match
+      Machine.execute_batch ?lane_mask ~kernel_mode:mode m launch
+        ~batch:c.batch
+    with
+    | Ok rs -> Ok rs
+    | Error e -> Error (E.to_string e)
+  in
+  (rs, bank_state m)
 
 let same_results a b =
   Array.length a = Array.length b
@@ -214,12 +246,16 @@ let same_results a b =
 let qcheck_batched_eq_singles =
   QCheck.Test.make ~name:"execute_batch == N sequential executes" ~count:40
     (QCheck.make ~print:print_case gen_case) (fun c ->
-      let ref_singles = run_singles c Machine.Reference in
-      let fus_singles = run_singles c Machine.Fused in
-      let batched = run_batched c Machine.Fused in
-      match (ref_singles, fus_singles, batched) with
-      | Ok rs, Ok fs, Ok bs -> same_results rs fs && same_results fs bs
-      | Error e1, Error e2, Error e3 -> e1 = e2 && e2 = e3
+      let ref_singles, ref_state = run_singles_state c Machine.Reference in
+      let fus_singles, fus_state = run_singles_state c Machine.Fused in
+      let batched, bat_state = run_batched c Machine.Fused in
+      let ref_batched, ref_bat_state = run_batched c Machine.Reference in
+      match (ref_singles, fus_singles, batched, ref_batched) with
+      | Ok rs, Ok fs, Ok bs, Ok rbs ->
+          same_results rs fs && same_results fs bs && same_results rs rbs
+          && ref_state = fus_state && fus_state = bat_state
+          && ref_state = ref_bat_state
+      | Error e1, Error e2, Error e3, Error e4 -> e1 = e2 && e2 = e3 && e3 = e4
       | _ -> false)
 
 (* RNG stream continuity: chunked ragged batches (5 then 3) on ONE
@@ -243,6 +279,8 @@ let test_ragged_chained () =
           gain_log = 1;
           swing = 7;
           x_prd = 2;
+          dest = 0;
+          dest_xreg = 7;
           batch = 8;
         }
       in
@@ -271,6 +309,48 @@ let test_ragged_chained () =
         (same_results whole singles))
     [ 0; 1; 2; 3 ]
 
+(* A launch whose X-REG emits land in the row its own X reads come
+   from (x_prd 0: every iteration reads row 0, every emit stages into
+   it): each staged code must show through to the next iteration's X
+   read, in both kernel modes, single and batched. *)
+let test_xreg_feedback () =
+  List.iter
+    (fun shape ->
+      let c =
+        {
+          seed = 4242 + shape;
+          noisy = true;
+          profile = 1;
+          banks_log = 1;
+          mb = 1;
+          rpt = 47;
+          shape;
+          fault = 0;
+          masked = false;
+          active_lanes = 128;
+          gain_log = 0;
+          swing = 7;
+          x_prd = 0;
+          dest = 3;
+          dest_xreg = 0;
+          batch = 4;
+        }
+      in
+      let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+      let ref_singles, ref_state = run_singles_state c Machine.Reference in
+      let fus_singles, fus_state = run_singles_state c Machine.Fused in
+      let batched, bat_state = run_batched c Machine.Fused in
+      let ref_singles = ok ref_singles in
+      check bool
+        (Printf.sprintf "shape %d: fused singles == reference" shape)
+        true
+        (same_results ref_singles (ok fus_singles) && ref_state = fus_state);
+      check bool
+        (Printf.sprintf "shape %d: batch of 4 == reference singles" shape)
+        true
+        (same_results ref_singles (ok batched) && ref_state = bat_state))
+    [ 0; 2; 3 ]
+
 (* Pool fan-out across the banks of the group is bit-identical. *)
 let test_batched_pooled () =
   let c =
@@ -288,6 +368,8 @@ let test_batched_pooled () =
       gain_log = 0;
       swing = 7;
       x_prd = 1;
+      dest = 0;
+      dest_xreg = 7;
       batch = 4;
     }
   in
@@ -319,6 +401,8 @@ let serving_case shape =
     gain_log = 0;
     swing = 7;
     x_prd = 1;
+    dest = 0;
+    dest_xreg = 7;
     batch = 8;
   }
 
@@ -376,10 +460,16 @@ let test_into_zero_alloc () =
   let batch = 512 in
   let epd = Machine.emissions_per_decision task ~th:launch.Machine.th in
   let out = ba_create (batch * epd) in
-  (* warmup compiles the kernels and grows the noise plane / tables *)
-  ignore (fok (Machine.execute_batch_into m launch ~batch ~out));
+  (* the zero-allocation property is the fused path's (the scalar
+     oracle allocates by design), so the mode is named rather than
+     taken from PROMISE_KERNEL_MODE; warmup compiles the kernels and
+     grows the sample plane and the sampler scratch *)
+  let into () =
+    Machine.execute_batch_into ~kernel_mode:Machine.Fused m launch ~batch ~out
+  in
+  ignore (fok (into ()));
   let minor0 = Gc.minor_words () in
-  ignore (fok (Machine.execute_batch_into m launch ~batch ~out));
+  ignore (fok (into ()));
   let delta = Gc.minor_words () -. minor0 in
   let per_task = delta /. float_of_int batch in
   (* the per-decision loop is allocation-free; the per-call fixed cost
@@ -604,6 +694,70 @@ let test_plan_cache_keying () =
   | Ok _ -> Alcotest.fail "stale batch plan was accepted"
 
 (* ------------------------------------------------------------------ *)
+(* The machine.execute failpoint: once per call, before any state       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every machine entry point, reduced to the emission streams it
+   returns (one list per decision and task). *)
+let entry_points c =
+  let task = task_of c in
+  let launch = launch_of c task in
+  let one = Program.make ~name:"one" [ task ] in
+  let two =
+    Program.make ~name:"two" [ task; task_of { c with shape = 2; rpt = 15 } ]
+  in
+  let values (r : Machine.result) = r.Machine.emitted @ r.Machine.acc_out in
+  let batch_values rs = Array.to_list (Array.map values rs) in
+  let program_values rss =
+    List.concat_map (List.map values) (Array.to_list rss)
+  in
+  let into m ~batch =
+    let epd = Machine.emissions_per_decision task ~th:launch.Machine.th in
+    let out = ba_create (batch * epd) in
+    Result.map
+      (fun epd -> [ List.init (batch * epd) (fun i -> out.{i}) ])
+      (Machine.execute_batch_into m launch ~batch ~out)
+  in
+  [
+    ("execute", fun m -> Result.map (fun r -> [ values r ]) (Machine.execute m launch));
+    ("execute_batch 1", fun m -> Result.map batch_values (Machine.execute_batch m launch ~batch:1));
+    ("execute_batch 4", fun m -> Result.map batch_values (Machine.execute_batch m launch ~batch:4));
+    ("execute_batch_into 4", into ~batch:4);
+    ( "run_program (two tasks)",
+      fun m -> Result.map (List.map values) (Machine.run_program m two) );
+    ( "run_program_batch 4 (one task)",
+      fun m -> Result.map program_values (Machine.run_program_batch m one ~batch:4) );
+    ( "run_program_batch 4 (two tasks)",
+      fun m -> Result.map program_values (Machine.run_program_batch m two ~batch:4) );
+  ]
+
+let test_failpoint_once_per_call () =
+  let c = { (serving_case 0) with banks_log = 1; mb = 1; rpt = 31 } in
+  let site = "machine.execute" in
+  Fun.protect ~finally:Fp.reset (fun () ->
+      List.iter
+        (fun (name, entry) ->
+          fok (Fp.configure [ (site, Fp.Off) ]);
+          ignore (entry (machine_of c));
+          (match Fp.stats () with
+          | [ s ] -> check int (name ^ ": one check per call") 1 s.Fp.hits
+          | _ -> Alcotest.fail "one armed site expected");
+          let m = machine_of c in
+          fok (Fp.configure [ (site, Fp.Fail_once) ]);
+          (match entry m with
+          | Error e ->
+              check bool (name ^ ": typed Fault") true (e.E.code = E.Fault)
+          | Ok _ -> Alcotest.failf "%s: the armed failpoint did not fire" name);
+          Fp.reset ();
+          let retried = entry m in
+          let twin = machine_of c in
+          let clean = entry twin in
+          check bool (name ^ ": retry == a twin that never faulted") true
+            (Result.is_ok clean && retried = clean
+            && bank_state m = bank_state twin))
+        (entry_points c))
+
+(* ------------------------------------------------------------------ *)
 (* Typed validation of --batch / PROMISE_BATCH                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -662,6 +816,8 @@ let () =
             `Quick test_ragged_chained;
           Alcotest.test_case "pooled batch is bit-identical" `Quick
             test_batched_pooled;
+          Alcotest.test_case "X-REG feedback shows through to X reads"
+            `Quick test_xreg_feedback;
         ] );
       ( "serving",
         [
@@ -688,6 +844,11 @@ let () =
         [
           Alcotest.test_case "plans are keyed on (graph, batch)" `Quick
             test_plan_cache_keying;
+        ] );
+      ( "failpoint",
+        [
+          Alcotest.test_case "machine.execute: once per call, stream-safe"
+            `Quick test_failpoint_once_per_call;
         ] );
       ( "validation",
         [

@@ -39,11 +39,14 @@ type case = {
   gain_log : int;  (** ADC gain [2^gain_log] *)
   swing : int;
   x_prd : int;
+  dest : int;  (** 0 output buffer, 1 ACC, 2 write buffer, 3 X-REG *)
+  dest_xreg : int;  (** X-REG destination, often inside the X window *)
 }
 
 let gen_case st =
   let open QCheck.Gen in
   let banks_log = int_range 0 3 st in
+  let x_prd = int_bound 3 st in
   {
     seed = int_bound 10_000 st;
     noisy = bool st;
@@ -57,15 +60,19 @@ let gen_case st =
     active_lanes = int_range 1 128 st;
     gain_log = int_bound 2 st;
     swing = int_bound 7 st;
-    x_prd = int_bound 3 st;
+    x_prd;
+    dest = int_bound 3 st;
+    dest_xreg = oneof [ int_bound x_prd; int_bound 7 ] st;
   }
 
 let print_case c =
   Printf.sprintf
     "{seed=%d; noisy=%b; profile=%d; banks=%d; mb=%d; rpt=%d; shape=%d; \
-     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d}"
+     fault=%d; masked=%b; lanes=%d; gain=%d; swing=%d; x_prd=%d; dest=%d; \
+     dest_xreg=%d}"
     c.seed c.noisy c.profile (1 lsl c.banks_log) c.mb c.rpt c.shape c.fault
-    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd
+    c.masked c.active_lanes (1 lsl c.gain_log) c.swing c.x_prd c.dest
+    c.dest_xreg
 
 let task_of c =
   let op_param =
@@ -76,6 +83,12 @@ let task_of c =
       x_addr1 = 1;
       x_addr2 = 2;
       x_prd = c.x_prd;
+      des =
+        (match c.dest with
+        | 0 -> Op.Des_output_buffer
+        | 1 -> Op.Des_acc
+        | 2 -> Op.Des_write_buffer
+        | _ -> Op.Des_xreg);
     }
   in
   let mk ~class1 ~asd ~avd ~class3 ~class4 =
@@ -102,7 +115,7 @@ let task_of c =
       mk ~class1:Op.C1_asubt ~asd:Op.Asd_none ~avd:true ~class3:Op.C3_adc
         ~class4:Op.C4_accumulate
   | _ ->
-      (* aVD off: not the fusable shape — exercises the passthrough *)
+      (* aVD off: not the fusable shape — exercises the scalar path *)
       mk ~class1:Op.C1_aread ~asd:Op.Asd_none ~avd:false ~class3:Op.C3_none
         ~class4:Op.C4_accumulate
 
@@ -160,6 +173,7 @@ let launch_of c task =
     (Machine.default_launch task) with
     Machine.active_lanes = c.active_lanes;
     adc_gain = float_of_int (1 lsl c.gain_log);
+    dest_xreg = c.dest_xreg;
   }
 
 let lane_mask_of c =
@@ -171,9 +185,19 @@ let same_result (a : Machine.result) (b : Machine.result) =
   && a.write_buffer = b.write_buffer
   && a.argext = b.argext && a.digital = b.digital
 
+(* The bank state emits stage into: every X-REG row and the
+   write-buffer depth of every bank. *)
+let bank_state m =
+  List.init (Machine.n_banks m) (fun bi ->
+      let b = Machine.bank m bi in
+      ( List.init Arch.Params.xreg_depth (fun i ->
+            Arch.Xreg.get (Arch.Bank.xreg b) ~index:i),
+        Arch.Bank.staged_write_count b ))
+
 (* Each mode executes the launch twice on its own machine: the second
-   run replays from advanced RNG streams and, in fused mode, through
-   the now-populated kernel cache. *)
+   run replays from advanced RNG streams (and from X-REG rows the first
+   run's emits staged into) and, in fused mode, through the
+   now-populated kernel cache. *)
 let run_twice c mode =
   let task = task_of c in
   let m = machine_of c in
@@ -184,15 +208,18 @@ let run_twice c mode =
     | Ok r -> Ok r
     | Error e -> Error (E.to_string e)
   in
-  (exec (), exec ())
+  let first = exec () in
+  let second = exec () in
+  (first, second, bank_state m)
 
 let qcheck_fused_eq_reference =
   QCheck.Test.make ~name:"fused == reference bit-for-bit" ~count:60
     (QCheck.make ~print:print_case gen_case) (fun c ->
-      let r1, r2 = run_twice c Machine.Reference in
-      let f1, f2 = run_twice c Machine.Fused in
+      let r1, r2, rs = run_twice c Machine.Reference in
+      let f1, f2, fs = run_twice c Machine.Fused in
       match (r1, f1, r2, f2) with
-      | Ok r1, Ok f1, Ok r2, Ok f2 -> same_result r1 f1 && same_result r2 f2
+      | Ok r1, Ok f1, Ok r2, Ok f2 ->
+          same_result r1 f1 && same_result r2 f2 && rs = fs
       | Error e1, Error e2, _, _ -> e1 = e2
       | _ -> false)
 
@@ -219,6 +246,8 @@ let test_cache_invalidation () =
       gain_log = 0;
       swing = 7;
       x_prd = 1;
+      dest = 0;
+      dest_xreg = 7;
     }
   in
   let task = task_of c in
@@ -264,23 +293,30 @@ let test_zero_alloc () =
       ~class2:{ Op.asd = Op.Asd_sign_mult; avd = true }
       ~class3:Op.C3_adc ~class4:Op.C4_accumulate ()
   in
+  check bool "task is fusable" true (Kernel.fusable task);
   let k = Kernel.specialize bank ~task ~active_lanes:128 ~adc_gain:1.0 in
-  check bool "kernel is fused" true (Kernel.is_fused k);
-  let dst = Array.make 1 0.0 in
-  for i = 0 to 255 do
-    Kernel.sample_into k ~iteration:i ~dst ~at:0
+  let iters = Task.iterations task in
+  let dst = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout iters in
+  (* one decision per call: the batch-1 shape every [execute] takes *)
+  let decision () =
+    Kernel.sample_batch_into k ~first:0 ~iters ~batch:1 ~dst ~off:0
+  in
+  for _ = 1 to 4 do
+    decision ()
   done;
-  let iters = 10_000 in
+  let decisions = 200 in
   let minor0 = Gc.minor_words () in
-  for i = 0 to iters - 1 do
-    Kernel.sample_into k ~iteration:i ~dst ~at:0
+  for _ = 1 to decisions do
+    decision ()
   done;
   let delta = Gc.minor_words () -. minor0 in
-  (* noise enabled: the whole lane vector draws through [gaussian_fill];
-     a tiny slack tolerates instrumentation, not per-iteration boxing *)
+  (* noise enabled: the whole noise plane draws through
+     [gaussian_fill_ba]; a tiny slack tolerates instrumentation, not
+     per-iteration boxing *)
   if delta > 100.0 then
-    Alcotest.failf "fused steady state allocated %.0f minor words in %d iters"
-      delta iters
+    Alcotest.failf "fused steady state allocated %.0f minor words in %d \
+                    decisions of %d iterations"
+      delta decisions iters
 
 (* ------------------------------------------------------------------ *)
 (* One shared 8-bit quantizer                                          *)
